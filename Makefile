@@ -10,7 +10,9 @@
 #                     or adding audited waivers
 #   make bench-smoke  quick perf sanity
 #   make serve-smoke  replay a canned trace through `cddpd serve --once`
-#                     and assert the cddpd-serve/1 JSON status
+#                     and assert the cddpd-serve/1 JSON status, then check
+#                     that an invalid statement is skipped on stdin and
+#                     rejected with exit 1 on --input
 
 DUNE ?= dune
 JOBS ?=
@@ -47,9 +49,9 @@ lint-update-baseline:
 
 # Quick perf sanity: micro-benchmarks + a timed Problem.build, writing
 # BENCH_micro.json for machine consumption.  Pass JOBS=1 to force the
-# sequential path.  The serve suite carries its own hard gates: per-window
-# digests must match between the incremental and from-scratch arms, and
-# stable-phase windows must hit the what-if-call reduction floor.
+# sequential path.  The serve and ingest suites carry their own hard
+# gates: every window must match the reference oracle (lib/reference), and
+# stable-phase windows / ingest throughput must hit their reduction floors.
 bench-smoke:
 	$(DUNE) exec bench/main.exe -- --quick $(if $(JOBS),--jobs $(JOBS)) micro solvers experiments configspace serve ingest
 
@@ -79,7 +81,24 @@ serve-smoke:
 	  && { echo "serve-smoke: expected at least one deployment"; exit 1; } || true
 	@echo "serve-smoke: OK $$(cat _serve_smoke_status.json)"
 	@rm -f _serve_smoke_trace.sql _serve_smoke_status.json
+	@# Negative case: a statement that parses but names an unknown column
+	@# is skipped on stdin (exit 0) and aborts --input naming the line
+	@# (exit 1, never an uncaught exception).
+	@echo 'SELECT * FROM t WHERE zz = 1' > _serve_smoke_bad.sql
+	@$(DUNE) exec bin/cddpd.exe -- serve --rows 1000 --value-range 1000 \
+	  < _serve_smoke_bad.sql > _serve_smoke_bad.out 2>&1 \
+	  || { echo "serve-smoke: stdin serve must skip an invalid statement"; exit 1; }
+	@grep -q 'skipping statement' _serve_smoke_bad.out \
+	  || { echo "serve-smoke: stdin serve did not report the skipped statement"; exit 1; }
+	@code=0; $(DUNE) exec bin/cddpd.exe -- serve --once --input _serve_smoke_bad.sql \
+	  --rows 1000 --value-range 1000 > _serve_smoke_bad.out 2>&1 || code=$$?; \
+	  [ $$code -eq 1 ] || { echo "serve-smoke: --input on an invalid statement exited $$code, expected 1"; exit 1; }
+	@grep -q 'line 1' _serve_smoke_bad.out \
+	  || { echo "serve-smoke: --input did not name the invalid line"; exit 1; }
+	@echo "serve-smoke: invalid statement skipped on stdin, rejected with exit 1 on --input"
+	@rm -f _serve_smoke_bad.sql _serve_smoke_bad.out
 
 clean:
 	$(DUNE) clean
-	rm -f BENCH_micro.json BENCH_obs.json _serve_smoke_trace.sql _serve_smoke_status.json
+	rm -f BENCH_micro.json BENCH_obs.json _serve_smoke_trace.sql _serve_smoke_status.json \
+	  _serve_smoke_bad.sql _serve_smoke_bad.out

@@ -7,12 +7,12 @@
               [views] [space] [micro]
               [--rows N] [--value-range N] [--scale F] [--seed N]
               [--readahead N] [--quick]
-              [--jobs N] [--no-cost-cache]
+              [--jobs N]
               [--no-metrics] [--obs-out FILE] [--micro-out FILE]
    With no experiment named, everything runs.  --quick shrinks the instance
    for a fast smoke run; --rows 2500000 --value-range 500000 approaches the
-   paper's physical scale.  --jobs and --no-cost-cache set the
-   Problem.build parallelism / memoization knobs (docs/PERFORMANCE.md).
+   paper's physical scale.  --jobs sets the Problem.build parallelism
+   (docs/PERFORMANCE.md).
 
    Observability: instrumentation (lib/obs) is enabled for the run unless
    --no-metrics is given, and a JSON-lines metrics + span dump is written
@@ -64,7 +64,6 @@ type options = {
   ingest_out : string;
   jobs : int option;
   cell_jobs : int option;
-  cost_cache : bool;
 }
 
 let all_experiments =
@@ -78,7 +77,7 @@ let usage () =
      [table1|table2|figure3|figure4|ablation|updates|views|space|micro|solvers|experiments|configspace|serve|ingest]... \
      [--suite NAME] \
      [--rows N] [--value-range N] [--scale F] [--seed N] [--readahead N] [--quick] \
-     [--jobs N] [--cell-jobs N] [--no-cost-cache] \
+     [--jobs N] [--cell-jobs N] \
      [--no-metrics] [--obs-out FILE] [--micro-out FILE] [--solvers-out FILE] \
      [--experiments-out FILE] [--configspace-out FILE] [--serve-out FILE] \
      [--ingest-out FILE]";
@@ -97,7 +96,6 @@ let parse_args () =
   let ingest_out = ref "BENCH_ingest.json" in
   let jobs = ref None in
   let cell_jobs = ref None in
-  let cost_cache = ref true in
   let rec go args =
     match args with
     | [] -> ()
@@ -138,9 +136,6 @@ let parse_args () =
         let j = int_of_string v in
         if j < 1 then usage ();
         jobs := Some j;
-        go rest
-    | "--no-cost-cache" :: rest ->
-        cost_cache := false;
         go rest
     | "--rows" :: v :: rest ->
         config := { !config with Setup.rows = int_of_string v };
@@ -189,7 +184,6 @@ let parse_args () =
     ingest_out = !ingest_out;
     jobs = !jobs;
     cell_jobs = !cell_jobs;
-    cost_cache = !cost_cache;
   }
 
 let banner title =
@@ -343,8 +337,8 @@ let micro (session : Session.t) =
 (* -- machine-readable micro summary (BENCH_micro.json) -------------------- *)
 
 (* Median wall-clock of several Problem.build runs under the session's
-   workload and the current --jobs/--no-cost-cache knobs: the headline
-   number of the perf trajectory. *)
+   workload and the current --jobs knob: the headline number of the perf
+   trajectory. *)
 let problem_build_runs = 3
 
 let time_problem_build (session : Session.t) =
@@ -382,11 +376,11 @@ let write_micro_json path ~(options : options) ~build_s rows =
   in
   Printf.fprintf oc
     "{\"schema\":\"cddpd-bench-micro/1\",\"rows\":%d,\"value_range\":%d,\
-     \"scale\":%.3f,\"seed\":%d,\"jobs\":%d,\"cores\":%d,\"cost_cache\":%b,\
+     \"scale\":%.3f,\"seed\":%d,\"jobs\":%d,\"cores\":%d,\
      \"problem_build\":{\"runs\":%d,\"median_s\":%s},\"micro\":["
     options.config.Setup.rows options.config.Setup.value_range
     options.config.Setup.scale options.config.Setup.seed jobs
-    (Cddpd_util.Parallel.ncpu ()) options.cost_cache
+    (Cddpd_util.Parallel.ncpu ())
     problem_build_runs (json_float build_s);
   List.iteri
     (fun i (name, ns) ->
@@ -694,7 +688,7 @@ let write_solvers_json path entries =
    at bench time on every run. *)
 
 let experiments_runs = 3
-let experiments_cell_jobs = [ 1; 4 ]
+let experiments_cell_jobs = [ 1; 2 ]
 let experiments_ks = [ 2; 6; 10 ]
 let experiments_repeats = 2
 let experiments_bulk_rows = 100_000
@@ -749,7 +743,7 @@ let experiments_sweep (config : Setup.config) =
         (Unix.gettimeofday () -. t0);
       List.map
         (fun cell_jobs ->
-          if cell_jobs > 1 && cores < 2 then begin
+          if cell_jobs > cores then begin
             Printf.printf
               "(skipping cell_jobs=%d arm: %d core%s available)\n%!" cell_jobs
               cores
@@ -859,7 +853,7 @@ let write_experiments_json path ~(config : Setup.config) arms bulk =
           && not a.ex_skipped)
         arms
     in
-    match (find 1, find 4) with
+    match (find 1, find 2) with
     | Some seq, Some par -> seq.ex_median_s /. par.ex_median_s
     | _ -> nan (* serialised as null: no honest multi-core measurement *)
   in
@@ -880,7 +874,7 @@ let write_experiments_json path ~(config : Setup.config) arms bulk =
          \"status\":\"%s\"}"
         (if i = 0 then "" else ",")
         a.ex_readahead a.ex_cell_jobs (json_float6 a.ex_median_s) a.ex_digest
-        (if a.ex_skipped then "skipped_single_core" else "ok"))
+        (if a.ex_skipped then "skipped_more_jobs_than_cores" else "ok"))
     arms;
   Printf.fprintf oc
     "],\"digests_identical\":%b,\"parallel_speedup\":%s,\
@@ -919,7 +913,7 @@ let experiments_suite ~(options : options) () =
              string_of_int a.ex_readahead;
              string_of_int a.ex_cell_jobs;
              "skipped";
-             "(single core)";
+             "(more jobs than cores)";
            ]
          else
            [
@@ -1387,22 +1381,23 @@ let write_configspace_json path entries =
 
 (* -- serve suite: incremental re-optimization across windows --------------- *)
 
-(* Two serve runs over the same phased trace on identically-seeded
-   databases — one threading the persistent {!Reopt} session (the
-   default), one with reuse disabled ([--no-reopt-reuse]'s from-scratch
-   path) — with drift detection forced to re-optimize at every window
-   close, so the stable-phase windows expose the incremental rebuild.
-   Instrumentation stays ENABLED for both arms: the headline is what-if
-   call counts, and [cost_model.calls] is silent otherwise.  Wall times
-   therefore carry the same small accounting overhead on both sides.
+(* One serve run over a phased trace, threading the persistent {!Reopt}
+   session, with drift detection forced to re-optimize at every window
+   close so the stable-phase windows expose the incremental rebuild.  At
+   every window close the reference oracle rebuilds the same decision from
+   scratch ({!Reference.reoptimize}: offline problem build with no
+   session, unseeded solve, guard).  Instrumentation stays ENABLED: the
+   headline is what-if call counts, and [cost_model.calls] is silent
+   otherwise; the same counter measures each reference rebuild.
 
-   Checked on every run, not just recorded: each window's control
-   decisions must be bit-identical between the arms (per-window digest),
-   the stable-phase windows must make >= [serve_min_stable_ratio] fewer
-   what-if calls incrementally than from scratch, and no stable-phase
-   window may recost its whole cluster table. *)
+   Checked on every run, not just recorded: each window's decision must
+   match the reference bit for bit, the stable-phase windows must make
+   >= [serve_min_stable_ratio] fewer what-if calls incrementally than the
+   reference makes from scratch, and no stable-phase window may recost
+   its whole cluster table. *)
 
 module Server = Cddpd_serve.Server
+module Reference = Cddpd_reference.Reference
 module Reopt = Cddpd_core.Reopt
 module Compress = Cddpd_workload.Compress
 module Cost_key = Cddpd_engine.Cost_key
@@ -1457,29 +1452,33 @@ let serve_phase_window phase =
 let serve_trace () =
   Array.concat (Array.to_list (Array.map serve_phase_window serve_phases))
 
-let serve_server_config ~reuse =
+let serve_server_config =
   {
     (Server.default_config ~table:"t") with
     Server.window = serve_window;
     drift_threshold = -1.0;  (* re-optimize at every window close *)
     jobs = Some 1;
-    reopt_reuse = reuse;
   }
 
-(* What each window's re-optimization actually did, per arm. *)
+let serve_cost_model_calls = Obs.Registry.counter "cost_model.calls"
+
+(* What each window's re-optimization did: the reference rebuild from
+   scratch, and the serve loop's incremental one. *)
 type serve_cell = {
-  se_digest : string;  (** the window's control decisions, bit-precise *)
-  se_whatif : int;  (** cost_model.calls made by this re-optimization *)
+  se_scratch_whatif : int;  (** cost_model.calls of the reference rebuild *)
+  se_scratch_s : float;
+  se_whatif : int;  (** cost_model.calls of the serve loop's re-optimization *)
   se_reopt_s : float;
   se_exec_reused : int;
   se_recosted : int;
   se_trans_reused : int;
 }
 
-type serve_arm = {
+type serve_run = {
   se_cells : serve_cell array;
-  se_wall_s : float;  (** whole-trace wall time, execution included *)
+  se_wall_s : float;  (** whole-trace wall time, execution included, oracle excluded *)
   se_stats : Reopt.stats;
+  se_digest : string;  (** MD5 over every window's decision digest *)
 }
 
 let serve_action_fingerprint = function
@@ -1497,10 +1496,23 @@ let serve_window_digest (w : Server.window_report) =
     w.Server.drifted
     (serve_action_fingerprint w.Server.action)
 
-let serve_run_arm ~reuse trace =
+let digest_of_list digests = Digest.to_hex (Digest.string (String.concat "|" digests))
+
+let serve_run trace =
   let db = serve_db () in
-  let server = Server.create db (serve_server_config ~reuse) in
-  let cells = ref [] in
+  let scratch = ref [] and oracle_s = ref 0.0 in
+  let on_window w =
+    let calls = Obs.Counter.value serve_cost_model_calls in
+    let result, elapsed =
+      Cddpd_util.Timer.time (fun () ->
+          Reference.reoptimize db serve_server_config ~trace w)
+    in
+    (match result with Ok () -> () | Error e -> failwith ("serve: " ^ e));
+    oracle_s := !oracle_s +. elapsed;
+    scratch := (Obs.Counter.value serve_cost_model_calls - calls, elapsed) :: !scratch
+  in
+  let server = Server.create ~on_window db serve_server_config in
+  let cells = ref [] and digests = ref [] in
   let prev = ref (Server.reopt_stats server) in
   let t0 = Unix.gettimeofday () in
   Array.iter
@@ -1510,26 +1522,28 @@ let serve_run_arm ~reuse trace =
       | Some w ->
           let now = Server.reopt_stats server in
           let dr f = f now.Reopt.reuse - f !prev.Reopt.reuse in
+          let scratch_whatif, scratch_s = List.hd !scratch in
+          digests := serve_window_digest w :: !digests;
           cells :=
             {
-              se_digest = serve_window_digest w;
+              se_scratch_whatif = scratch_whatif;
+              se_scratch_s = scratch_s;
               se_whatif = w.Server.reopt_whatif_calls;
               se_reopt_s = w.Server.reopt_s;
-              se_exec_reused =
-                dr (fun t -> t.Problem.Reuse.exec_columns_reused);
+              se_exec_reused = dr (fun t -> t.Problem.Reuse.exec_columns_reused);
               se_recosted = dr (fun t -> t.Problem.Reuse.clusters_recosted);
-              se_trans_reused =
-                dr (fun t -> t.Problem.Reuse.trans_blocks_reused);
+              se_trans_reused = dr (fun t -> t.Problem.Reuse.trans_blocks_reused);
             }
             :: !cells;
           prev := now)
     trace;
-  let wall = Unix.gettimeofday () -. t0 in
+  let wall = Unix.gettimeofday () -. t0 -. !oracle_s in
   let report = Server.finish server in
   {
     se_cells = Array.of_list (List.rev !cells);
     se_wall_s = wall;
     se_stats = report.Server.reopt;
+    se_digest = digest_of_list (List.rev !digests);
   }
 
 (* The cluster-table size of each window's re-optimization problem,
@@ -1539,7 +1553,7 @@ let serve_run_arm ~reuse trace =
    statistics — and with them the keys — are fixed for the whole run. *)
 let serve_cluster_tables () =
   let stats = Cddpd_engine.Database.table_stats (serve_db ()) "t" in
-  let history = (serve_server_config ~reuse:true).Server.history in
+  let history = serve_server_config.Server.history in
   Array.mapi
     (fun i _ ->
       let lo = max 0 (i - history + 1) in
@@ -1552,14 +1566,14 @@ let serve_cluster_tables () =
       Array.length (Compress.cluster_keys keys).Compress.representatives)
     serve_phases
 
-let serve_stable_sum f arm =
+let serve_stable_sum f run =
   let acc = ref 0 in
-  Array.iteri (fun i c -> if serve_stable.(i) then acc := !acc + f c) arm.se_cells;
+  Array.iteri (fun i c -> if serve_stable.(i) then acc := !acc + f c) run.se_cells;
   !acc
 
-let serve_stable_sum_s f arm =
+let serve_stable_sum_s f run =
   let acc = ref 0.0 in
-  Array.iteri (fun i c -> if serve_stable.(i) then acc := !acc +. f c) arm.se_cells;
+  Array.iteri (fun i c -> if serve_stable.(i) then acc := !acc +. f c) run.se_cells;
   !acc
 
 let serve_suite () =
@@ -1573,20 +1587,11 @@ let serve_suite () =
     "trace: %d windows x %d statements, phases %s; re-optimizing every window\n%!"
     (Array.length serve_phases) serve_window
     (String.concat "" (Array.to_list serve_phases));
-  let scratch = serve_run_arm ~reuse:false trace in
-  let incr = serve_run_arm ~reuse:true trace in
-  let n = Array.length serve_phases in
-  if Array.length scratch.se_cells <> n || Array.length incr.se_cells <> n then
+  let run = serve_run trace in
+  if Array.length run.se_cells <> Array.length serve_phases then
     failwith "serve: expected one closed window per phase entry";
-  Array.iteri
-    (fun i (s : serve_cell) ->
-      if not (String.equal s.se_digest incr.se_cells.(i).se_digest) then
-        failwith
-          (Printf.sprintf
-             "serve: window %d differs between from-scratch and incremental \
-              arms:\n  scratch     %s\n  incremental %s"
-             i s.se_digest incr.se_cells.(i).se_digest))
-    scratch.se_cells;
+  Printf.printf "every window matches the reference rebuild; window digest %s\n%!"
+    run.se_digest;
   let clusters = serve_cluster_tables () in
   let table =
     Cddpd_util.Text_table.create
@@ -1605,28 +1610,27 @@ let serve_suite () =
       ]
   in
   Array.iteri
-    (fun i (s : serve_cell) ->
-      let c = incr.se_cells.(i) in
+    (fun i c ->
       Cddpd_util.Text_table.add_row table
         [
           string_of_int i;
           serve_phases.(i);
           (if serve_stable.(i) then "yes" else "-");
           string_of_int clusters.(i);
-          string_of_int s.se_whatif;
+          string_of_int c.se_scratch_whatif;
           string_of_int c.se_whatif;
-          Printf.sprintf "%.1f" (s.se_reopt_s *. 1e3);
+          Printf.sprintf "%.1f" (c.se_scratch_s *. 1e3);
           Printf.sprintf "%.1f" (c.se_reopt_s *. 1e3);
           string_of_int c.se_exec_reused;
           string_of_int c.se_recosted;
           string_of_int c.se_trans_reused;
         ])
-    scratch.se_cells;
+    run.se_cells;
   Cddpd_util.Text_table.print table;
   Array.iteri
     (fun i stable ->
       if stable then begin
-        let c = incr.se_cells.(i) in
+        let c = run.se_cells.(i) in
         if clusters.(i) <= 0 then
           failwith (Printf.sprintf "serve: window %d has no clusters" i);
         if c.se_recosted >= clusters.(i) then
@@ -1637,8 +1641,8 @@ let serve_suite () =
                i clusters.(i))
       end)
     serve_stable;
-  let calls_scratch = serve_stable_sum (fun c -> c.se_whatif) scratch in
-  let calls_incr = serve_stable_sum (fun c -> c.se_whatif) incr in
+  let calls_scratch = serve_stable_sum (fun c -> c.se_scratch_whatif) run in
+  let calls_incr = serve_stable_sum (fun c -> c.se_whatif) run in
   let ratio = float_of_int calls_scratch /. float_of_int (max 1 calls_incr) in
   if ratio < serve_min_stable_ratio then
     failwith
@@ -1646,8 +1650,8 @@ let serve_suite () =
          "serve: stable-window what-if ratio %.1fx below the %.0fx floor \
           (%d from-scratch vs %d incremental)"
          ratio serve_min_stable_ratio calls_scratch calls_incr);
-  let reopt_s_scratch = serve_stable_sum_s (fun c -> c.se_reopt_s) scratch in
-  let reopt_s_incr = serve_stable_sum_s (fun c -> c.se_reopt_s) incr in
+  let reopt_s_scratch = serve_stable_sum_s (fun c -> c.se_scratch_s) run in
+  let reopt_s_incr = serve_stable_sum_s (fun c -> c.se_reopt_s) run in
   Printf.printf
     "\nstable windows: %d what-if calls from scratch vs %d incremental \
      (%.1fx), %.1fms vs %.1fms re-optimizing\n%!"
@@ -1656,20 +1660,20 @@ let serve_suite () =
   Printf.printf
     "incremental session: %d builds, %d exec columns reused, %d clusters \
      recosted, %d trans blocks reused, cache %d/%d hit/miss\n%!"
-    incr.se_stats.Reopt.reuse.Problem.Reuse.builds
-    incr.se_stats.Reopt.reuse.Problem.Reuse.exec_columns_reused
-    incr.se_stats.Reopt.reuse.Problem.Reuse.clusters_recosted
-    incr.se_stats.Reopt.reuse.Problem.Reuse.trans_blocks_reused
-    incr.se_stats.Reopt.cache.Cddpd_engine.Cost_cache.hits
-    incr.se_stats.Reopt.cache.Cddpd_engine.Cost_cache.misses;
-  (scratch, incr, clusters)
+    run.se_stats.Reopt.reuse.Problem.Reuse.builds
+    run.se_stats.Reopt.reuse.Problem.Reuse.exec_columns_reused
+    run.se_stats.Reopt.reuse.Problem.Reuse.clusters_recosted
+    run.se_stats.Reopt.reuse.Problem.Reuse.trans_blocks_reused
+    run.se_stats.Reopt.cache.Cddpd_engine.Cost_cache.hits
+    run.se_stats.Reopt.cache.Cddpd_engine.Cost_cache.misses;
+  (run, clusters)
 
-let write_serve_json path (scratch, incr, clusters) =
-  let cfg = serve_server_config ~reuse:true in
-  let calls_scratch = serve_stable_sum (fun c -> c.se_whatif) scratch in
-  let calls_incr = serve_stable_sum (fun c -> c.se_whatif) incr in
-  let reopt_s_scratch = serve_stable_sum_s (fun c -> c.se_reopt_s) scratch in
-  let reopt_s_incr = serve_stable_sum_s (fun c -> c.se_reopt_s) incr in
+let write_serve_json path (run, clusters) =
+  let cfg = serve_server_config in
+  let calls_scratch = serve_stable_sum (fun c -> c.se_scratch_whatif) run in
+  let calls_incr = serve_stable_sum (fun c -> c.se_whatif) run in
+  let reopt_s_scratch = serve_stable_sum_s (fun c -> c.se_scratch_s) run in
+  let reopt_s_incr = serve_stable_sum_s (fun c -> c.se_reopt_s) run in
   let stable_windows =
     Array.fold_left (fun acc s -> if s then acc + 1 else acc) 0 serve_stable
   in
@@ -1684,21 +1688,18 @@ let write_serve_json path (scratch, incr, clusters) =
     (Cddpd_util.Parallel.ncpu ())
     (String.concat "" (Array.to_list serve_phases));
   Array.iteri
-    (fun i (s : serve_cell) ->
-      let c = incr.se_cells.(i) in
+    (fun i c ->
       Printf.fprintf oc
         "%s{\"index\":%d,\"phase\":\"%s\",\"stable\":%b,\"clusters\":%d,\
-         \"digest_equal\":%b,\"from_scratch\":{\"whatif_calls\":%d,\
+         \"digest_equal\":true,\"from_scratch\":{\"whatif_calls\":%d,\
          \"reopt_s\":%s},\"incremental\":{\"whatif_calls\":%d,\"reopt_s\":%s,\
          \"exec_columns_reused\":%d,\"clusters_recosted\":%d,\
          \"trans_blocks_reused\":%d}}"
         (if i = 0 then "" else ",")
-        i serve_phases.(i) serve_stable.(i) clusters.(i)
-        (String.equal s.se_digest c.se_digest)
-        s.se_whatif (json_float6 s.se_reopt_s) c.se_whatif
-        (json_float6 c.se_reopt_s) c.se_exec_reused c.se_recosted
-        c.se_trans_reused)
-    scratch.se_cells;
+        i serve_phases.(i) serve_stable.(i) clusters.(i) c.se_scratch_whatif
+        (json_float6 c.se_scratch_s) c.se_whatif (json_float6 c.se_reopt_s)
+        c.se_exec_reused c.se_recosted c.se_trans_reused)
+    run.se_cells;
   Printf.fprintf oc
     "],\"stable\":{\"windows\":%d,\"whatif_calls_from_scratch\":%d,\
      \"whatif_calls_incremental\":%d,\"whatif_ratio\":%s,\
@@ -1708,18 +1709,19 @@ let write_serve_json path (scratch, incr, clusters) =
        (float_of_int calls_scratch /. float_of_int (max 1 calls_incr)))
     (json_float6 reopt_s_scratch) (json_float6 reopt_s_incr)
     (json_float (reopt_s_scratch /. reopt_s_incr));
-  let tallies = incr.se_stats.Reopt.reuse in
-  let cache = incr.se_stats.Reopt.cache in
+  let tallies = run.se_stats.Reopt.reuse in
+  let cache = run.se_stats.Reopt.cache in
   Printf.fprintf oc
-    "\"totals\":{\"wall_from_scratch_s\":%s,\"wall_incremental_s\":%s,\
+    "\"totals\":{\"wall_incremental_s\":%s,\
      \"incremental\":{\"reoptimizations\":%d,\"warm_start_bounds\":%d,\
      \"builds\":%d,\"exec_columns_reused\":%d,\"clusters_recosted\":%d,\
      \"trans_blocks_reused\":%d,\"stats_invalidations\":%d,\
      \"cache\":{\"hits\":%d,\"misses\":%d,\"evictions\":%d,\
      \"generations\":%d}},\"from_scratch\":{\"reoptimizations\":%d,\
-     \"warm_start_bounds\":%d}},\"digests_identical\":true}\n"
-    (json_float6 scratch.se_wall_s) (json_float6 incr.se_wall_s)
-    incr.se_stats.Reopt.reoptimizations incr.se_stats.Reopt.warm_start_bounds
+     \"warm_start_bounds\":0}},\"window_digest\":\"%s\",\
+     \"digests_identical\":true}\n"
+    (json_float6 run.se_wall_s)
+    run.se_stats.Reopt.reoptimizations run.se_stats.Reopt.warm_start_bounds
     tallies.Problem.Reuse.builds tallies.Problem.Reuse.exec_columns_reused
     tallies.Problem.Reuse.clusters_recosted
     tallies.Problem.Reuse.trans_blocks_reused
@@ -1727,25 +1729,26 @@ let write_serve_json path (scratch, incr, clusters) =
     cache.Cddpd_engine.Cost_cache.hits cache.Cddpd_engine.Cost_cache.misses
     cache.Cddpd_engine.Cost_cache.evictions
     cache.Cddpd_engine.Cost_cache.generations
-    scratch.se_stats.Reopt.reoptimizations
-    scratch.se_stats.Reopt.warm_start_bounds;
+    (* the oracle rebuilds exactly the windows the server re-optimized *)
+    run.se_stats.Reopt.reoptimizations run.se_digest;
   close_out oc
 
 (* -- ingest suite: serve statement fast path -------------------------------- *)
 
-(* The same phased raw-SQL trace replayed through two serve loops on
-   identically-seeded databases: the fast path (statement-template cache,
-   one-pass cost keys, plan-choice memo — the defaults) against
-   [--no-template-cache --no-plan-cache].  The caches claim bit-identity,
-   so every window's control decisions, drift distances, what-if call
-   counts and measured I/O must agree between the arms — checked with
-   failwith on every run, not just recorded.  The headline is ingest
-   statement throughput: per-feed wall time is split into an ingest
-   bucket (feeds that only execute and buffer) and a close bucket (the
-   one feed per window that also runs drift detection, re-optimization
-   and deployment — control work the caches do not claim to speed up and
-   both arms pay identically), and the gate is the ratio of ingest
-   statements/s, floor [ingest_min_ratio]. *)
+(* The same phased raw-SQL trace served by the ingest fast path
+   (statement-template cache, one-pass cost keys, plan-choice memo) and
+   replayed by the reference oracle ({!Reference.replay}: fresh parse and
+   validation, feed-time cost keys, unmemoized planning) on an
+   identically-seeded database.  The fast path claims bit-identity, so
+   every window's measured I/O, drift distance and migration I/O must
+   match the replay, and every re-optimization must match
+   {!Reference.reoptimize} — checked with failwith on every run, not just
+   recorded.  The headline is ingest statement throughput: per-statement
+   wall time is split into an ingest bucket (statements that only execute
+   and buffer) and a close bucket (the one statement per window that also
+   runs drift detection and, on the served side, re-optimization and
+   deployment), and the gate is the ratio of ingest statements/s, floor
+   [ingest_min_ratio]. *)
 
 module Plan_cache = Cddpd_engine.Plan_cache
 module Template = Cddpd_sql.Template
@@ -1824,40 +1827,42 @@ let ingest_trace () =
     ingest_phases;
   Array.of_list (List.rev !texts)
 
-let ingest_config ~fast =
-  {
-    (Server.default_config ~table:"t") with
-    Server.window = ingest_window;
-    jobs = Some 1;
-    template_cache = fast;
-    plan_cache = fast;
-  }
+let ingest_config =
+  { (Server.default_config ~table:"t") with Server.window = ingest_window; jobs = Some 1 }
 
-(* The serve digest plus the window's what-if call count: the caches must
-   not change how much cost-model work re-optimization does either. *)
+(* The serve digest plus the window's what-if call count. *)
 let ingest_window_digest (w : Server.window_report) =
   Printf.sprintf "%s:%d" (serve_window_digest w) w.Server.reopt_whatif_calls
 
 type ingest_arm = {
-  in_digests : string array;
-  in_ingest_s : float;  (** wall seconds in plain (non-closing) feeds *)
-  in_close_s : float;  (** wall seconds in window-closing feeds *)
+  in_ingest_s : float;  (** wall seconds in statements that closed no window *)
+  in_close_s : float;  (** wall seconds in window-closing statements *)
   in_ingest_statements : int;
   in_statements : int;
   in_exec_io : int;
   in_trans_io : int;
-  in_report_digest : string;  (** the final report's counters, bit-precise *)
   in_template : Template.stats option;
   in_plan : Plan_cache.stats;
 }
 
-let ingest_run_arm ~fast trace =
+(* The served arm.  Each window's decision is checked against the
+   reference rebuild inside the window-closing feed; that oracle time is
+   taken out of the close bucket. *)
+let ingest_serve_arm trace =
   let db = ingest_db () in
-  let server = Server.create db (ingest_config ~fast) in
+  let statements = Array.map Parser.parse_exn trace in
+  let oracle_s = ref 0.0 in
+  let on_window w =
+    let result, elapsed =
+      Cddpd_util.Timer.time (fun () ->
+          Reference.reoptimize db ingest_config ~trace:statements w)
+    in
+    oracle_s := !oracle_s +. elapsed;
+    match result with Ok () -> () | Error e -> failwith ("ingest: " ^ e)
+  in
+  let server = Server.create ~on_window db ingest_config in
   let digests = ref [] in
-  let ingest_s = ref 0.0 in
-  let close_s = ref 0.0 in
-  let ingest_n = ref 0 in
+  let ingest_s = ref 0.0 and close_s = ref 0.0 and ingest_n = ref 0 in
   Array.iter
     (fun text ->
       let t0 = Unix.gettimeofday () in
@@ -1868,37 +1873,67 @@ let ingest_run_arm ~fast trace =
       | Ok (Some w) ->
           close_s := !close_s +. (Unix.gettimeofday () -. t0);
           digests := ingest_window_digest w :: !digests
-      | Error message -> failwith ("ingest: parse error: " ^ message))
+      | Error message -> failwith ("ingest: rejected statement: " ^ message))
     trace;
   let report = Server.finish server in
-  let report_digest =
-    Printf.sprintf "%d:%d:%d:%d:%d:%d:%d:%d:%d:%s" report.Server.statements
-      report.Server.residual_statements report.Server.drift_events
-      report.Server.reoptimizations report.Server.deployments
-      report.Server.rejections report.Server.rollbacks
+  let digest =
+    Printf.sprintf "%s %d:%d:%d:%d:%d:%d:%d:%d:%d:%s"
+      (digest_of_list (List.rev !digests))
+      report.Server.statements report.Server.residual_statements
+      report.Server.drift_events report.Server.reoptimizations
+      report.Server.deployments report.Server.rejections report.Server.rollbacks
       report.Server.exec_logical_io report.Server.trans_logical_io
       (Design.name report.Server.final_design)
   in
-  {
-    in_digests = Array.of_list (List.rev !digests);
-    in_ingest_s = !ingest_s;
-    in_close_s = !close_s;
-    in_ingest_statements = !ingest_n;
-    in_statements = report.Server.statements;
-    in_exec_io = report.Server.exec_logical_io;
-    in_trans_io = report.Server.trans_logical_io;
-    in_report_digest = report_digest;
-    in_template = Server.template_stats server;
-    in_plan = Cddpd_engine.Database.plan_cache_stats db;
-  }
+  ( {
+      in_ingest_s = !ingest_s;
+      in_close_s = !close_s -. !oracle_s;
+      in_ingest_statements = !ingest_n;
+      in_statements = report.Server.statements;
+      in_exec_io = report.Server.exec_logical_io;
+      in_trans_io = report.Server.trans_logical_io;
+      in_template = Server.template_stats server;
+      in_plan = Cddpd_engine.Database.plan_cache_stats db;
+    },
+    report,
+    List.length !digests,
+    digest )
+
+(* The reference arm, timed between consecutive statements. *)
+let ingest_reference_arm report trace =
+  let db = ingest_db () in
+  let ingest_s = ref 0.0 and close_s = ref 0.0 and ingest_n = ref 0 in
+  let last = ref (Unix.gettimeofday ()) in
+  let on_text ~closed =
+    let now = Unix.gettimeofday () in
+    if closed then close_s := !close_s +. (now -. !last)
+    else begin
+      ingest_s := !ingest_s +. (now -. !last);
+      incr ingest_n
+    end;
+    last := now
+  in
+  match Reference.replay ~on_text db ingest_config report trace with
+  | Error e -> failwith ("ingest: served run differs from the reference replay: " ^ e)
+  | Ok r ->
+      {
+        in_ingest_s = !ingest_s;
+        in_close_s = !close_s;
+        in_ingest_statements = !ingest_n;
+        in_statements = r.Reference.statements;
+        in_exec_io = r.Reference.exec_logical_io;
+        in_trans_io = r.Reference.trans_logical_io;
+        in_template = None;
+        in_plan = Cddpd_engine.Database.plan_cache_stats db;
+      }
 
 let ingest_rate arm =
   float_of_int arm.in_ingest_statements /. arm.in_ingest_s
 
 let ingest_suite () =
-  (* Instrumentation stays ENABLED for both arms: the digests include
-     what-if call counts, which are silent otherwise.  Both arms carry
-     the same small accounting overhead. *)
+  (* Instrumentation stays ENABLED: the window digests include what-if
+     call counts, which are silent otherwise.  Both arms carry the same
+     small accounting overhead. *)
   let was_enabled = Obs.Registry.enabled () in
   Obs.Registry.enable ();
   Fun.protect
@@ -1911,35 +1946,19 @@ let ingest_suite () =
     (Array.length ingest_phases) ingest_window ingest_pool_size
     ingest_churn_every
     (String.concat "" (Array.to_list ingest_phases));
-  let slow = ingest_run_arm ~fast:false trace in
-  let fast = ingest_run_arm ~fast:true trace in
-  let n = Array.length ingest_phases in
-  if
-    Array.length slow.in_digests <> n || Array.length fast.in_digests <> n
-  then failwith "ingest: expected one closed window per phase entry";
-  Array.iteri
-    (fun i d ->
-      if not (String.equal d fast.in_digests.(i)) then
-        failwith
-          (Printf.sprintf
-             "ingest: window %d differs between slow and fast arms:\n\
-             \  slow %s\n  fast %s"
-             i d fast.in_digests.(i)))
-    slow.in_digests;
-  if not (String.equal slow.in_report_digest fast.in_report_digest) then
-    failwith
-      (Printf.sprintf
-         "ingest: final reports differ:\n  slow %s\n  fast %s"
-         slow.in_report_digest fast.in_report_digest);
+  let fast, report, windows, digest = ingest_serve_arm trace in
+  if windows <> Array.length ingest_phases then
+    failwith "ingest: expected one closed window per phase entry";
+  let slow = ingest_reference_arm report trace in
   let ratio = ingest_rate fast /. ingest_rate slow in
   Printf.printf
-    "slow arm (--no-template-cache --no-plan-cache): %d ingest statements \
-     in %.3fs (%.0f/s), window closes %.3fs\n%!"
+    "reference replay:  %d ingest statements in %.3fs (%.0f/s), window closes \
+     %.3fs\n%!"
     slow.in_ingest_statements slow.in_ingest_s (ingest_rate slow)
     slow.in_close_s;
   Printf.printf
-    "fast arm (defaults):                            %d ingest statements \
-     in %.3fs (%.0f/s), window closes %.3fs\n%!"
+    "served fast path:  %d ingest statements in %.3fs (%.0f/s), window closes \
+     %.3fs\n%!"
     fast.in_ingest_statements fast.in_ingest_s (ingest_rate fast)
     fast.in_close_s;
   (match fast.in_template with
@@ -1954,14 +1973,15 @@ let ingest_suite () =
     "plan memo: %d hits, %d misses, %d invalidations\n%!"
     fast.in_plan.Plan_cache.hits fast.in_plan.Plan_cache.misses
     fast.in_plan.Plan_cache.invalidations;
+  Printf.printf "window digest %s\n%!" digest;
   Printf.printf
     "\ningest throughput ratio: %.1fx (floor %.0fx), windows and report \
-     bit-identical\n%!"
+     match the reference\n%!"
     ratio ingest_min_ratio;
   if ratio < ingest_min_ratio then
     failwith
       (Printf.sprintf
-         "ingest: fast/slow throughput ratio %.2fx below the %.0fx floor \
+         "ingest: fast/reference throughput ratio %.2fx below the %.0fx floor \
           (%.0f/s vs %.0f/s)"
          ratio ingest_min_ratio (ingest_rate fast) (ingest_rate slow));
   (slow, fast, ratio)
@@ -2005,7 +2025,7 @@ let write_ingest_json path (slow, fast, ratio) =
 let () =
   let ({ experiments; config; metrics; obs_out; micro_out; solvers_out;
          experiments_out = _; configspace_out = _; serve_out = _;
-         ingest_out = _; jobs; cell_jobs; cost_cache } as options) =
+         ingest_out = _; jobs; cell_jobs } as options) =
     parse_args ()
   in
   (* Honesty clamp: more domains than cores measures scheduler thrash,
@@ -2029,14 +2049,12 @@ let () =
   (match cell_jobs with
   | Some j -> Cddpd_experiments.Runner.set_default_cell_jobs j
   | None -> ());
-  if not cost_cache then Cddpd_engine.Cost_cache.set_default_enabled false;
   if metrics then Obs.Registry.enable ();
   Printf.printf
     "cddpd benchmark harness — rows=%d value_range=%d scale=%.2f seed=%d \
-     jobs=%d cost-cache=%b\n%!"
+     jobs=%d\n%!"
     config.Setup.rows config.Setup.value_range config.Setup.scale config.Setup.seed
-    (match jobs with Some j -> j | None -> Cddpd_util.Parallel.default_jobs ())
-    cost_cache;
+    (match jobs with Some j -> j | None -> Cddpd_util.Parallel.default_jobs ());
   let needs_session =
     List.exists
       (fun e ->

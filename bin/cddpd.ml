@@ -11,8 +11,7 @@
    observability counters/histograms after the run) and --trace (print the
    hierarchical trace-span tree); see docs/OBSERVABILITY.md.  Subcommands
    that build cost matrices additionally accept --jobs (domains used by
-   Problem.build) and --no-cost-cache (disable what-if memoization); see
-   docs/PERFORMANCE.md. *)
+   Problem.build); see docs/PERFORMANCE.md. *)
 
 module Setup = Cddpd_experiments.Setup
 module Session = Cddpd_experiments.Session
@@ -69,11 +68,6 @@ let jobs_arg =
            ~doc:"Domains used to build cost matrices (default: \
                  \\$(b,CDDPD_JOBS) if set, else the CPU count).")
 
-let no_cost_cache_arg =
-  Arg.(value & flag
-       & info [ "no-cost-cache" ]
-           ~doc:"Disable memoization of what-if cost-model calls.")
-
 let cell_jobs_arg =
   Arg.(value & opt (some int) None
        & info [ "cell-jobs" ] ~docv:"N"
@@ -90,16 +84,15 @@ let apply_cell_jobs cell_jobs =
       exit 2
   | None -> ()
 
-(* The knobs are process-global defaults, so they reach every
+(* The domain count is a process-global default, so it reaches every
    Problem.build — including the ones experiments run internally. *)
-let apply_perf_knobs jobs no_cost_cache =
-  (match jobs with
+let apply_jobs jobs =
+  match jobs with
   | Some j when j >= 1 -> Cddpd_util.Parallel.set_default_jobs j
   | Some _ ->
       prerr_endline "cddpd: --jobs must be at least 1";
       exit 2
-  | None -> ());
-  if no_cost_cache then Cddpd_engine.Cost_cache.set_default_enabled false
+  | None -> ()
 
 (* -- shared arguments ---------------------------------------------------- *)
 
@@ -279,9 +272,9 @@ let print_schedule steps recommendation segment =
   Format.printf "%a@." Solution.pp recommendation.Advisor.solution
 
 let recommend input segment k method_name rows value_range seed readahead jobs
-    no_cost_cache max_paths max_queue max_candidates composite_width prune
-    compress_workload metrics trace =
-  apply_perf_knobs jobs no_cost_cache;
+    max_paths max_queue max_candidates composite_width prune compress_workload
+    metrics trace =
+  apply_jobs jobs;
   with_obs ~metrics ~trace @@ fun () ->
   with_recommendation input segment k method_name rows value_range seed readahead
     ~max_paths ~max_queue ~max_candidates ~composite_width ~prune
@@ -301,14 +294,14 @@ let recommend_cmd =
        ~doc:"Recommend a change-constrained dynamic physical design for a trace.")
     Term.(const recommend $ input_arg $ segment_arg $ k_arg $ method_arg $ rows_arg
           $ value_range_arg $ seed_arg $ readahead_arg $ jobs_arg
-          $ no_cost_cache_arg $ max_paths_arg $ max_queue_arg $ candidates_arg
+          $ max_paths_arg $ max_queue_arg $ candidates_arg
           $ composite_width_arg $ prune_arg $ compress_workload_arg
           $ metrics_arg $ trace_spans_arg)
 
 let simulate input segment k method_name rows value_range seed readahead jobs
-    no_cost_cache max_paths max_queue max_candidates composite_width prune
-    compress_workload metrics trace =
-  apply_perf_knobs jobs no_cost_cache;
+    max_paths max_queue max_candidates composite_width prune compress_workload
+    metrics trace =
+  apply_jobs jobs;
   with_obs ~metrics ~trace @@ fun () ->
   with_recommendation input segment k method_name rows value_range seed readahead
     ~max_paths ~max_queue ~max_candidates ~composite_width ~prune
@@ -327,15 +320,15 @@ let simulate_cmd =
        ~doc:"Recommend a design for a trace, then replay the trace under it.")
     Term.(const simulate $ input_arg $ segment_arg $ k_arg $ method_arg $ rows_arg
           $ value_range_arg $ seed_arg $ readahead_arg $ jobs_arg
-          $ no_cost_cache_arg $ max_paths_arg $ max_queue_arg $ candidates_arg
+          $ max_paths_arg $ max_queue_arg $ candidates_arg
           $ composite_width_arg $ prune_arg $ compress_workload_arg
           $ metrics_arg $ trace_spans_arg)
 
 (* -- experiment -------------------------------------------------------------- *)
 
-let experiment name rows value_range seed scale readahead jobs cell_jobs
-    no_cost_cache metrics trace =
-  apply_perf_knobs jobs no_cost_cache;
+let experiment name rows value_range seed scale readahead jobs cell_jobs metrics
+    trace =
+  apply_jobs jobs;
   apply_cell_jobs cell_jobs;
   with_obs ~metrics ~trace @@ fun () ->
   let config = config_of ~readahead rows value_range seed scale in
@@ -385,8 +378,8 @@ let experiment_cmd =
     (Cmd.info "experiment" ~doc:"Reproduce one table or figure of the paper.")
     Term.(
       const experiment $ experiment_name $ rows_arg $ value_range_arg $ seed_arg
-      $ scale_arg $ readahead_arg $ jobs_arg $ cell_jobs_arg $ no_cost_cache_arg
-      $ metrics_arg $ trace_spans_arg)
+      $ scale_arg $ readahead_arg $ jobs_arg $ cell_jobs_arg $ metrics_arg
+      $ trace_spans_arg)
 
 (* -- serve ------------------------------------------------------------------- *)
 
@@ -453,33 +446,6 @@ let once_arg =
        & info [ "once" ]
            ~doc:"Drain the input and exit (requires $(b,--input)); the smoke \
                  mode CI replays a canned trace through.")
-
-let no_reopt_reuse_arg =
-  Arg.(value & flag
-       & info [ "no-reopt-reuse" ]
-           ~doc:"Disable incremental re-optimization: every drift event \
-                 rebuilds cost matrices from scratch instead of reusing the \
-                 previous window-set's cluster costs and TRANS entries. \
-                 Results are bit-identical either way; this is the escape \
-                 hatch (and the from-scratch arm of bench --suite serve).")
-
-let no_template_cache_arg =
-  Arg.(value & flag
-       & info [ "no-template-cache" ]
-           ~doc:"Disable the statement-template cache: every arriving text \
-                 is lexed and parsed from scratch instead of reusing the \
-                 cached AST (repeated text) or statement skeleton (repeated \
-                 shape). Results are bit-identical either way; this is the \
-                 escape hatch (and the slow arm of bench --suite ingest).")
-
-let no_plan_cache_arg =
-  Arg.(value & flag
-       & info [ "no-plan-cache" ]
-           ~doc:"Disable the plan-choice memo and the probation what-if \
-                 cache: every statement re-runs plan selection against the \
-                 cost model. Results are bit-identical either way; this is \
-                 the escape hatch (and the slow arm of bench --suite \
-                 ingest).")
 
 let status_json_arg =
   Arg.(value & flag
@@ -564,7 +530,8 @@ let print_report (report : Server.report) =
 
 (* Both feed loops replay raw statement text through Server.feed_sql, so
    the template cache sees the original strings — parsing up front would
-   bypass the ingest fast path entirely. *)
+   bypass the ingest fast path entirely.  A statement that fails to parse
+   or to validate is skipped on stdin. *)
 let feed_stdin server =
   let rec loop () =
     match In_channel.input_line stdin with
@@ -583,7 +550,8 @@ let feed_stdin server =
   loop ()
 
 (* Trace-file replay: same line conventions as Trace.load ([#] comments,
-   blank lines), same strictness (a parse error aborts naming the line). *)
+   blank lines), same strictness (a statement that fails to parse or to
+   validate aborts naming the line). *)
 let feed_file server path =
   let ic =
     try open_in path
@@ -613,9 +581,8 @@ let feed_file server path =
 
 let serve input once regime window history horizon drift_threshold regret_budget
     rollback_factor k method_name rows value_range seed readahead jobs
-    no_cost_cache no_reopt_reuse no_template_cache no_plan_cache status_json
-    metrics trace =
-  apply_perf_knobs jobs no_cost_cache;
+    status_json metrics trace =
+  apply_jobs jobs;
   with_obs ~metrics ~trace @@ fun () ->
   if once && input = None then begin
     prerr_endline "cddpd: --once requires --input";
@@ -625,10 +592,7 @@ let serve input once regime window history horizon drift_threshold regret_budget
     let cfg =
       { serve_defaults with
         Server.regime; window; history; horizon; drift_threshold; regret_budget;
-        rollback_factor; k; method_name; jobs;
-        reopt_reuse = not no_reopt_reuse;
-        template_cache = not no_template_cache;
-        plan_cache = not no_plan_cache }
+        rollback_factor; k; method_name; jobs }
     in
     let db = Setup.make_database (config_of ~readahead rows value_range seed 1.0) in
     let on_window = if status_json then fun _ -> () else print_window_line in
@@ -652,8 +616,7 @@ let serve_cmd =
           $ history_arg $ horizon_arg $ drift_threshold_arg $ regret_budget_arg
           $ rollback_factor_arg $ serve_k_arg $ method_arg $ rows_arg
           $ value_range_arg $ seed_arg $ readahead_arg $ jobs_arg
-          $ no_cost_cache_arg $ no_reopt_reuse_arg $ no_template_cache_arg
-          $ no_plan_cache_arg $ status_json_arg $ metrics_arg $ trace_spans_arg)
+          $ status_json_arg $ metrics_arg $ trace_spans_arg)
 
 (* -- main ---------------------------------------------------------------------- *)
 

@@ -19,7 +19,6 @@ type request = {
   k : int option;
   method_name : Solution.method_name;
   jobs : int option;
-  cost_cache : bool option;
   max_paths : int option;
   max_queue : int option;
 }
@@ -42,7 +41,6 @@ let default_request ~steps ~table =
     k = None;
     method_name = Solution.Unconstrained;
     jobs = None;
-    cost_cache = None;
     max_paths = None;
     max_queue = None;
   }
@@ -104,7 +102,7 @@ let build_problem ?reuse ?statement_keys db request =
     ~stats_of:(fun table -> Database.table_stats db table)
     ~steps:request.steps ~space ~initial:request.initial
     ~count_initial_change:request.count_initial_change ?jobs:request.jobs
-    ?cost_cache:request.cost_cache ~compress_workload:request.compress_workload
+    ~compress_workload:request.compress_workload
     ?reuse ?statement_keys ()
 
 let recommend db request =

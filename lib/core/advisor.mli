@@ -42,8 +42,6 @@ type request = {
   method_name : Solution.method_name;
   jobs : int option;
       (** domains for {!Problem.build}; [None] = process default *)
-  cost_cache : bool option;
-      (** memoize what-if calls; [None] = process default (on) *)
   max_paths : int option;
       (** complete-path budget for the [Ranking] method; [None] = solver
           default (1_000_000) *)

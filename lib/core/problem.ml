@@ -45,15 +45,6 @@ let n_steps t = Array.length t.steps
 
 let n_configs t = Config_space.size t.space
 
-let table_of statement =
-  match statement with
-  | Ast.Select { table; _ }
-  | Ast.Select_agg { table; _ }
-  | Ast.Insert { table; _ }
-  | Ast.Delete { table; _ }
-  | Ast.Update { table; _ } ->
-      table
-
 (* Below this many EXEC evaluations the build is not worth fork/join
    overhead and runs sequentially on the calling domain. *)
 let sequential_threshold = 2048
@@ -181,9 +172,9 @@ module Reuse = struct
     mutable t_stats_invalidations : int;
   }
 
-  let create ?capacity () =
+  let create () =
     {
-      cache = Cost_cache.create ?capacity ();
+      cache = Cost_cache.create ();
       summary = None;
       t_builds = 0;
       t_exec_columns_reused = 0;
@@ -191,10 +182,6 @@ module Reuse = struct
       t_trans_blocks_reused = 0;
       t_stats_invalidations = 0;
     }
-
-  let flush t =
-    t.summary <- None;
-    Cost_cache.invalidate_builds t.cache
 
   let tallies t =
     {
@@ -209,7 +196,7 @@ module Reuse = struct
 end
 
 let build ~params ~stats_of ~steps ~space ~initial ?(count_initial_change = false)
-    ?jobs ?cost_cache ?(compress_workload = false) ?reuse ?statement_keys () =
+    ?jobs ?(compress_workload = false) ?reuse ?statement_keys () =
   if Array.length steps = 0 then invalid_arg "Problem.build: no steps";
   Obs.Span.with_span "problem.build" @@ fun () ->
   Obs.Counter.incr m_builds;
@@ -218,18 +205,12 @@ let build ~params ~stats_of ~steps ~space ~initial ?(count_initial_change = fals
   let n_steps = Array.length steps in
   let designs = Array.init n_configs (Config_space.design space) in
   (* Reuse implies the compressed path (the summary is a cluster-cost
-     table) and always caches through the session's persistent cache. *)
+     table) and caches through the session's persistent cache; a build
+     without a session gets a fresh cache. *)
   let compress_workload = compress_workload || Option.is_some reuse in
   let cache =
-    match reuse with
-    | Some r -> r.Reuse.cache
-    | None ->
-        let use_cache =
-          match cost_cache with Some on -> on | None -> Cost_cache.default_enabled ()
-        in
-        if use_cache then Cost_cache.create () else Cost_cache.disabled
+    match reuse with Some r -> r.Reuse.cache | None -> Cost_cache.create ()
   in
-  let use_cache = Cost_cache.is_enabled cache in
   (* Snapshot statistics on this domain: a Database-backed [stats_of]
      computes stats lazily (mutating the database) and must not be called
      from worker domains.  Every table the build can touch is resolved
@@ -238,7 +219,7 @@ let build ~params ~stats_of ~steps ~space ~initial ?(count_initial_change = fals
   let resolve table =
     if not (Hashtbl.mem stats_tbl table) then Hashtbl.replace stats_tbl table (stats_of table)
   in
-  Array.iter (fun step -> Array.iter (fun s -> resolve (table_of s)) step) steps;
+  Array.iter (fun step -> Array.iter (fun s -> resolve (Ast.table_of s)) step) steps;
   Array.iter
     (fun design -> Design.fold (fun s () -> resolve (Structure.table s)) design ())
     designs;
@@ -276,9 +257,7 @@ let build ~params ~stats_of ~steps ~space ~initial ?(count_initial_change = fals
   let reuse_summary =
     match reuse with Some r -> r.Reuse.summary | None -> None
   in
-  let design_keys =
-    Array.map (fun d -> if use_cache then Some (Cost_key.design d) else None) designs
-  in
+  let design_keys = Array.map Cost_key.design designs in
   (* Exec half of the next summary, assembled inside the compressed
      branch (cluster table + per-design cluster costs). *)
   let pending_exec_summary = ref None in
@@ -311,8 +290,8 @@ let build ~params ~stats_of ~steps ~space ~initial ?(count_initial_change = fals
                 acc :=
                   !acc
                   +. Cost_cache.statement_cost local params
-                       (stats_of (table_of statement))
-                       ~design ?design_key statement
+                       (stats_of (Ast.table_of statement))
+                       ~design ~design_key statement
               done;
               exec.(s).(c) <- !acc
             done
@@ -335,7 +314,7 @@ let build ~params ~stats_of ~steps ~space ~initial ?(count_initial_change = fals
         | None ->
             Array.map
               (fun statement ->
-                Cost_key.statement (stats_of (table_of statement)) statement)
+                Cost_key.statement (stats_of (Ast.table_of statement)) statement)
               flat
       in
       let clustering = Compress.cluster_keys keys in
@@ -431,9 +410,7 @@ let build ~params ~stats_of ~steps ~space ~initial ?(count_initial_change = fals
             | Some s ->
                 Array.iter
                   (fun c ->
-                    match design_keys.(c) with
-                    | Some dk when Hashtbl.mem s.s_by_design dk -> incr reused_columns
-                    | Some _ | None -> ())
+                    if Hashtbl.mem s.s_by_design design_keys.(c) then incr reused_columns)
                   fill_configs
             | None -> ());
             r.Reuse.t_exec_columns_reused <-
@@ -450,9 +427,9 @@ let build ~params ~stats_of ~steps ~space ~initial ?(count_initial_change = fals
               let design = designs.(c) in
               let design_key = design_keys.(c) in
               let prev_costs =
-                match (reuse_summary, design_key) with
-                | Some s, Some dk -> Hashtbl.find_opt s.s_by_design dk
-                | _ -> None
+                match reuse_summary with
+                | Some s -> Hashtbl.find_opt s.s_by_design design_key
+                | None -> None
               in
               let cluster_cost = Array.make (max 1 n_clusters) 0.0 in
               for r = 0 to n_clusters - 1 do
@@ -467,8 +444,8 @@ let build ~params ~stats_of ~steps ~space ~initial ?(count_initial_change = fals
                   let rep = reps.(r) in
                   cluster_cost.(r) <-
                     Cost_cache.statement_cost local params
-                      (stats_of (table_of rep))
-                      ~design ?design_key rep
+                      (stats_of (Ast.table_of rep))
+                      ~design ~design_key rep
                 end
               done;
               for s = 0 to n_steps - 1 do
@@ -503,20 +480,14 @@ let build ~params ~stats_of ~steps ~space ~initial ?(count_initial_change = fals
           Array.iteri (fun id k -> Hashtbl.replace s_cluster_id_of k id) cluster_keys;
           let s_by_design = Hashtbl.create (max 16 n_configs) in
           List.iter
-            (fun (c, costs) ->
-              match design_keys.(c) with
-              | Some dk -> Hashtbl.replace s_by_design dk costs
-              | None -> ())
+            (fun (c, costs) -> Hashtbl.replace s_by_design design_keys.(c) costs)
             (List.concat_map snd results);
           for c = 0 to n_configs - 1 do
             let src = column_src.(c) in
             if src <> c then
-              match (design_keys.(c), design_keys.(src)) with
-              | Some dk, Some dk_src -> (
-                  match Hashtbl.find_opt s_by_design dk_src with
-                  | Some costs -> Hashtbl.replace s_by_design dk costs
-                  | None -> ())
-              | _ -> ()
+              match Hashtbl.find_opt s_by_design design_keys.(src) with
+              | Some costs -> Hashtbl.replace s_by_design design_keys.(c) costs
+              | None -> ()
           done;
           pending_exec_summary := Some (s_cluster_id_of, s_by_design));
       locals
@@ -578,13 +549,12 @@ let build ~params ~stats_of ~steps ~space ~initial ?(count_initial_change = fals
       | None -> None
       | Some s ->
           Some
-            (Array.init n_configs (fun c ->
-                 match design_keys.(c) with
-                 | Some dk -> (
-                     match Hashtbl.find_opt s.s_id_of_design dk with
-                     | Some id -> id
-                     | None -> -1)
-                 | None -> -1))
+            (Array.map
+               (fun dk ->
+                 match Hashtbl.find_opt s.s_id_of_design dk with
+                 | Some id -> id
+                 | None -> -1)
+               design_keys)
     in
     let prev_trans =
       match reuse_summary with Some s -> s.s_trans | None -> [||]
@@ -677,12 +647,7 @@ let build ~params ~stats_of ~steps ~space ~initial ?(count_initial_change = fals
       | None -> ()
       | Some (s_cluster_id_of, s_by_design) ->
           let s_id_of_design = Hashtbl.create (max 16 n_configs) in
-          Array.iteri
-            (fun c dk ->
-              match dk with
-              | Some dk -> Hashtbl.replace s_id_of_design dk c
-              | None -> ())
-            design_keys;
+          Array.iteri (fun c dk -> Hashtbl.replace s_id_of_design dk c) design_keys;
           let s_fingerprints = Hashtbl.create 8 in
           (if Hashtbl.length fp_tbl > 0 then
              (* cddpd-lint: allow determinism — keyed copy into a fresh table; each key is visited once *)

@@ -65,14 +65,8 @@ module Reuse : sig
             changed (forces a full recost; the build memo is flushed) *)
   }
 
-  val create : ?capacity:int -> unit -> t
-  (** Fresh session state with an empty cache ([capacity] as
-      {!Cddpd_engine.Cost_cache.create}). *)
-
-  val flush : t -> unit
-  (** Drop the previous-build summary and the structure build memo, as a
-      statistics invalidation would.  The next build recosts everything
-      (statement cache entries survive; their keys self-invalidate). *)
+  val create : unit -> t
+  (** Fresh session state with an empty cache. *)
 
   val tallies : t -> tallies
   (** Cumulative reuse accounting — the plain-int mirror of the
@@ -90,7 +84,6 @@ val build :
   initial:Cddpd_catalog.Design.t ->
   ?count_initial_change:bool ->
   ?jobs:int ->
-  ?cost_cache:bool ->
   ?compress_workload:bool ->
   ?reuse:Reuse.t ->
   ?statement_keys:string array ->
@@ -102,9 +95,7 @@ val build :
     [initial] is not in the space.
 
     The build memoizes what-if calls through a fresh
-    {!Cddpd_engine.Cost_cache} (disable with [cost_cache:false], or
-    process-wide via {!Cddpd_engine.Cost_cache.set_default_enabled}) and
-    fills the matrices across [jobs] domains (default
+    {!Cddpd_engine.Cost_cache} and fills the matrices across [jobs] domains (default
     {!Cddpd_util.Parallel.default_jobs}; small instances always run
     sequentially).  TRANS always pays per {e distinct structure-delta}:
     designs are bitmasks over the sorted structure universe and each
@@ -125,7 +116,7 @@ val build :
     [reopt.trans_blocks_reused], [reopt.stats_invalidations]), and the
     finished build replaces the session summary.  [reuse] implies
     [compress_workload] and caches through the session's persistent
-    cache ([cost_cache] is ignored).
+    cache.
 
     [statement_keys] hands the build precomputed
     {!Cddpd_engine.Cost_key.statement} keys for the concatenated steps,
@@ -136,7 +127,9 @@ val build :
     compressed path.
 
     None of these knobs changes the result: matrices are bit-identical
-    across cache settings, domain counts, compression, and reuse
+    across domain counts, compression, and reuse, and to the naive
+    uncached build of the reference oracle ([Reference.problem] in
+    lib/reference)
     (compression re-expands cluster costs in the original statement
     order; column sharing only merges columns the cost model provably
     computes equal; reuse only copies floats whose cost identity proves

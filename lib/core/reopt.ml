@@ -10,26 +10,17 @@ type stats = {
 
 type t = {
   db : Database.t;
-  reuse : Problem.Reuse.t option;
+  reuse : Problem.Reuse.t;
   mutable reoptimizations : int;
   mutable warm_start_bounds : int;
 }
 
-let create ?(reuse = true) db =
-  {
-    db;
-    reuse = (if reuse then Some (Problem.Reuse.create ()) else None);
-    reoptimizations = 0;
-    warm_start_bounds = 0;
-  }
-
-let reuse_enabled t = Option.is_some t.reuse
-
-let flush t = Option.iter Problem.Reuse.flush t.reuse
+let create db =
+  { db; reuse = Problem.Reuse.create (); reoptimizations = 0; warm_start_bounds = 0 }
 
 let build_problem ?statement_keys t request =
   t.reoptimizations <- t.reoptimizations + 1;
-  Advisor.build_problem ?reuse:t.reuse ?statement_keys t.db request
+  Advisor.build_problem ~reuse:t.reuse ?statement_keys t.db request
 
 (* The incumbent's hold-at-C0 schedule: stay at the initial configuration
    for every step.  Zero changes, so it is feasible for every k >= 0, and
@@ -48,22 +39,9 @@ let solve ?k ?jobs ?max_paths ?max_queue t problem ~method_name =
     ~upper_bound:(hold_bound problem) ()
 
 let stats t =
-  let reuse, cache =
-    match t.reuse with
-    | Some r -> (Problem.Reuse.tallies r, Problem.Reuse.cache_stats r)
-    | None ->
-        ( {
-            Problem.Reuse.builds = 0;
-            exec_columns_reused = 0;
-            clusters_recosted = 0;
-            trans_blocks_reused = 0;
-            stats_invalidations = 0;
-          },
-          Cost_cache.stats Cost_cache.disabled )
-  in
   {
     reoptimizations = t.reoptimizations;
     warm_start_bounds = t.warm_start_bounds;
-    reuse;
-    cache;
+    reuse = Problem.Reuse.tallies t.reuse;
+    cache = Problem.Reuse.cache_stats t.reuse;
   }

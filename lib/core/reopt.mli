@@ -31,21 +31,13 @@ type t
 type stats = {
   reoptimizations : int;  (** problems built through this session *)
   warm_start_bounds : int;  (** solves seeded with a hold-at-C0 bound *)
-  reuse : Problem.Reuse.tallies;
-      (** exec/TRANS reuse accounting (zeros when reuse is disabled) *)
+  reuse : Problem.Reuse.tallies;  (** exec/TRANS reuse accounting *)
   cache : Cddpd_engine.Cost_cache.stats;
-      (** the persistent cache's hits/misses/evictions/generations
-          (zeros when reuse is disabled — builds then use per-build
-          caches) *)
+      (** the persistent cache's hits/misses/evictions/generations *)
 }
 
-val create : ?reuse:bool -> Cddpd_engine.Database.t -> t
-(** A fresh session over [db].  [reuse] (default [true]) enables the
-    persistent {!Problem.Reuse} state; with [reuse:false] every
-    {!build_problem} is a from-scratch build (the [--no-reopt-reuse]
-    escape hatch) and only warm-started solving remains. *)
-
-val reuse_enabled : t -> bool
+val create : Cddpd_engine.Database.t -> t
+(** A fresh session over [db] with empty {!Problem.Reuse} state. *)
 
 val build_problem :
   ?statement_keys:string array -> t -> Advisor.request -> Problem.t
@@ -67,10 +59,6 @@ val solve :
     incumbent's hold-at-C0 cost of [problem] (always a valid bound: the
     hold schedule makes zero changes).  Identical results to an unseeded
     solve, measured by [reopt.warm_start_bound_used]. *)
-
-val flush : t -> unit
-(** Drop the reuse summary and build memo (see {!Problem.Reuse.flush});
-    the next build recosts from scratch.  No-op when reuse is off. *)
 
 val stats : t -> stats
 (** Session accounting, readable with instrumentation off — what

@@ -1,5 +1,3 @@
-module Design = Cddpd_catalog.Design
-module Structure = Cddpd_catalog.Structure
 module Obs = Cddpd_obs
 
 let m_hits = Obs.Registry.counter "cost_cache.hits"
@@ -25,71 +23,50 @@ type cache = {
   mutable published_generations : int;
 }
 
-type t = Disabled | Enabled of cache
+type t = cache
 
 let default_capacity = 65536
 
 let create ?(capacity = default_capacity) () =
   if capacity < 1 then invalid_arg "Cost_cache.create: capacity < 1";
-  Enabled
-    {
-      capacity;
-      current = Hashtbl.create (min capacity 1024);
-      previous = Hashtbl.create 16;
-      builds = Hashtbl.create 64;
-      hits = Atomic.make 0;
-      misses = Atomic.make 0;
-      evictions = Atomic.make 0;
-      generations = Atomic.make 0;
-      published_hits = 0;
-      published_misses = 0;
-      published_evictions = 0;
-      published_generations = 0;
-    }
+  {
+    capacity;
+    current = Hashtbl.create (min capacity 1024);
+    previous = Hashtbl.create 16;
+    builds = Hashtbl.create 64;
+    hits = Atomic.make 0;
+    misses = Atomic.make 0;
+    evictions = Atomic.make 0;
+    generations = Atomic.make 0;
+    published_hits = 0;
+    published_misses = 0;
+    published_evictions = 0;
+    published_generations = 0;
+  }
 
-let disabled = Disabled
+let create_local c = create ~capacity:c.capacity ()
 
-let is_enabled t = match t with Enabled _ -> true | Disabled -> false
+let stats c =
+  {
+    hits = Atomic.get c.hits;
+    misses = Atomic.get c.misses;
+    evictions = Atomic.get c.evictions;
+    generations = Atomic.get c.generations;
+  }
 
-let create_local t =
-  match t with Disabled -> Disabled | Enabled c -> create ~capacity:c.capacity ()
-
-let stats t =
-  match t with
-  | Disabled -> { hits = 0; misses = 0; evictions = 0; generations = 0 }
-  | Enabled c ->
-      {
-        hits = Atomic.get c.hits;
-        misses = Atomic.get c.misses;
-        evictions = Atomic.get c.evictions;
-        generations = Atomic.get c.generations;
-      }
-
-let publish_obs t =
-  match t with
-  | Disabled -> ()
-  | Enabled c ->
-      let hits = Atomic.get c.hits
-      and misses = Atomic.get c.misses
-      and evictions = Atomic.get c.evictions
-      and generations = Atomic.get c.generations in
-      Obs.Counter.add m_hits (hits - c.published_hits);
-      Obs.Counter.add m_misses (misses - c.published_misses);
-      Obs.Counter.add m_evictions (evictions - c.published_evictions);
-      Obs.Counter.add m_generations (generations - c.published_generations);
-      c.published_hits <- hits;
-      c.published_misses <- misses;
-      c.published_evictions <- evictions;
-      c.published_generations <- generations
-
-(* -- default-enablement knob ------------------------------------------------ *)
-
-(* cddpd-lint: allow domain-unsafe-state — process-wide default toggled by the CLI on the main domain before any solver runs; workers never write it *)
-let enabled_by_default = ref true
-
-let default_enabled () = !enabled_by_default
-
-let set_default_enabled on = enabled_by_default := on
+let publish_obs c =
+  let hits = Atomic.get c.hits
+  and misses = Atomic.get c.misses
+  and evictions = Atomic.get c.evictions
+  and generations = Atomic.get c.generations in
+  Obs.Counter.add m_hits (hits - c.published_hits);
+  Obs.Counter.add m_misses (misses - c.published_misses);
+  Obs.Counter.add m_evictions (evictions - c.published_evictions);
+  Obs.Counter.add m_generations (generations - c.published_generations);
+  c.published_hits <- hits;
+  c.published_misses <- misses;
+  c.published_evictions <- evictions;
+  c.published_generations <- generations
 
 (* -- generational statement-entry store ------------------------------------- *)
 
@@ -123,83 +100,45 @@ let find_or_compute c key compute =
 
 (* -- cached costing ---------------------------------------------------------- *)
 
-let statement_cost t params stats ~design ?design_key statement =
-  match t with
-  | Disabled -> Cost_model.statement_cost params stats design statement
-  | Enabled c ->
-      let design_key =
-        match design_key with Some k -> k | None -> Cost_key.design design
-      in
-      find_or_compute c
-        (Cost_key.statement_under_design ~design_key stats statement)
-        (fun () -> Cost_model.statement_cost params stats design statement)
+let statement_cost c params stats ~design ?design_key statement =
+  let design_key =
+    match design_key with Some k -> k | None -> Cost_key.design design
+  in
+  find_or_compute c
+    (Cost_key.statement_under_design ~design_key stats statement)
+    (fun () -> Cost_model.statement_cost params stats design statement)
 
-let structure_build_cost t params stats structure =
-  match t with
-  | Disabled -> Cost_model.structure_build_cost params stats structure
-  | Enabled c -> (
-      let key = Cost_key.structure structure in
-      match Hashtbl.find_opt c.builds key with
-      | Some v ->
-          Atomic.incr c.hits;
-          v
-      | None ->
-          Atomic.incr c.misses;
-          let v = Cost_model.structure_build_cost params stats structure in
-          Hashtbl.replace c.builds key v;
-          v)
+let structure_build_cost c params stats structure =
+  let key = Cost_key.structure structure in
+  match Hashtbl.find_opt c.builds key with
+  | Some v ->
+      Atomic.incr c.hits;
+      v
+  | None ->
+      Atomic.incr c.misses;
+      let v = Cost_model.structure_build_cost params stats structure in
+      Hashtbl.replace c.builds key v;
+      v
 
-let invalidate_builds t =
-  match t with Disabled -> () | Enabled c -> Hashtbl.reset c.builds
-
-let warm_structures t params ~stats_of structures =
-  List.iter
-    (fun structure ->
-      ignore
-        (structure_build_cost t params (stats_of (Structure.table structure)) structure))
-    structures
-
-let transition_cost t params ~stats_of ~from_design ~to_design =
-  match t with
-  | Disabled -> Cost_model.transition_cost params ~stats_of ~from_design ~to_design
-  | Enabled _ ->
-      (* Same fold order as Cost_model.transition_cost, so the cached sum
-         is bit-identical to the uncached one. *)
-      let built = Design.diff to_design from_design in
-      let dropped = Design.diff from_design to_design in
-      let build_total =
-        Design.fold
-          (fun structure acc ->
-            acc
-            +. structure_build_cost t params
-                 (stats_of (Structure.table structure))
-                 structure)
-          built 0.0
-      in
-      build_total
-      +. (params.Cost_model.drop_cost *. float_of_int (Design.cardinality dropped))
+let invalidate_builds c = Hashtbl.reset c.builds
 
 (* -- merging worker caches ---------------------------------------------------- *)
 
-let merge ~into src =
-  match (into, src) with
-  | Disabled, _ | _, Disabled -> ()
-  | Enabled dst, Enabled src ->
-      let keep key v =
-        if
-          (not (Hashtbl.mem dst.current key)) && not (Hashtbl.mem dst.previous key)
-        then insert dst key v
-      in
-      (* Keyed insert-if-absent: each key is visited once, so visit order
-         cannot change the merge — to_seq keeps the determinism rule green
-         without a waiver. *)
-      Seq.iter (fun (key, v) -> keep key v) (Hashtbl.to_seq src.previous);
-      Seq.iter (fun (key, v) -> keep key v) (Hashtbl.to_seq src.current);
-      Seq.iter
-        (fun (key, v) ->
-          if not (Hashtbl.mem dst.builds key) then Hashtbl.replace dst.builds key v)
-        (Hashtbl.to_seq src.builds);
-      ignore (Atomic.fetch_and_add dst.hits (Atomic.get src.hits));
-      ignore (Atomic.fetch_and_add dst.misses (Atomic.get src.misses));
-      ignore (Atomic.fetch_and_add dst.evictions (Atomic.get src.evictions));
-      ignore (Atomic.fetch_and_add dst.generations (Atomic.get src.generations))
+let merge ~into:dst src =
+  let keep key v =
+    if (not (Hashtbl.mem dst.current key)) && not (Hashtbl.mem dst.previous key) then
+      insert dst key v
+  in
+  (* Keyed insert-if-absent: each key is visited once, so visit order
+     cannot change the merge — to_seq keeps the determinism rule green
+     without a waiver. *)
+  Seq.iter (fun (key, v) -> keep key v) (Hashtbl.to_seq src.previous);
+  Seq.iter (fun (key, v) -> keep key v) (Hashtbl.to_seq src.current);
+  Seq.iter
+    (fun (key, v) ->
+      if not (Hashtbl.mem dst.builds key) then Hashtbl.replace dst.builds key v)
+    (Hashtbl.to_seq src.builds);
+  ignore (Atomic.fetch_and_add dst.hits (Atomic.get src.hits));
+  ignore (Atomic.fetch_and_add dst.misses (Atomic.get src.misses));
+  ignore (Atomic.fetch_and_add dst.evictions (Atomic.get src.evictions));
+  ignore (Atomic.fetch_and_add dst.generations (Atomic.get src.generations))

@@ -34,9 +34,7 @@
     share a cache; the hash tables themselves are unsynchronised.  The
     contract for parallel use is the one {!Cddpd_core.Problem.build}
     follows: give each domain its own cache ({!create_local}) and
-    {!merge} the locals afterwards, or share a cache across domains only
-    for phases that cannot miss (pre-warmed via {!warm_structures}, which
-    makes every subsequent {!transition_cost} lookup a read-only hit).
+    {!merge} the locals afterwards.
 
     {2 Observability}
 
@@ -52,24 +50,16 @@ type stats = { hits : int; misses : int; evictions : int; generations : int }
     never rotated has [generations = 0]. *)
 
 val create : ?capacity:int -> unit -> t
-(** A fresh, empty, enabled cache.  [capacity] (default [65536]) bounds
-    each statement-entry generation.  Raises [Invalid_argument] if
+(** A fresh, empty cache.  [capacity] (default [65536]) bounds each
+    statement-entry generation.  Raises [Invalid_argument] if
     [capacity < 1]. *)
 
-val disabled : t
-(** The pass-through cache: every operation delegates straight to
-    {!Cost_model}, nothing is stored, stats stay zero. *)
-
-val is_enabled : t -> bool
-
 val create_local : t -> t
-(** An empty cache with the same configuration, for one worker domain;
-    [create_local disabled] is {!disabled}. *)
+(** An empty cache with the same configuration, for one worker domain. *)
 
 val merge : into:t -> t -> unit
 (** Fold a worker's entries and tallies into [into] (first writer of a
-    key wins; both caches must be quiescent).  No-op when either side is
-    {!disabled}. *)
+    key wins; both caches must be quiescent). *)
 
 val stats : t -> stats
 
@@ -83,15 +73,7 @@ val invalidate_builds : t -> unit
     that outlives a statistics change (data loads, DML) must be
     explicitly invalidated before its build memo is trusted again —
     statement entries self-invalidate (their keys embed a stats
-    fingerprint) and are left alone.  No-op on {!disabled}. *)
-
-(** {1 Default-enablement knob (the [--no-cost-cache] flag)} *)
-
-val default_enabled : unit -> bool
-(** Whether cost-cache consumers should cache by default ([true] at
-    startup). *)
-
-val set_default_enabled : bool -> unit
+    fingerprint) and are left alone. *)
 
 (** {1 Cached costing} *)
 
@@ -110,24 +92,3 @@ val statement_cost :
 val structure_build_cost :
   t -> Cost_model.params -> Table_stats.t -> Cddpd_catalog.Structure.t -> float
 (** Memoized {!Cost_model.structure_build_cost}. *)
-
-val warm_structures :
-  t ->
-  Cost_model.params ->
-  stats_of:(string -> Table_stats.t) ->
-  Cddpd_catalog.Structure.t list ->
-  unit
-(** Precompute build costs for every listed structure, so later
-    {!transition_cost} calls over designs drawn from these structures hit
-    without writing — the invariant that makes sharing the cache across
-    read-only domains safe. *)
-
-val transition_cost :
-  t ->
-  Cost_model.params ->
-  stats_of:(string -> Table_stats.t) ->
-  from_design:Cddpd_catalog.Design.t ->
-  to_design:Cddpd_catalog.Design.t ->
-  float
-(** [TRANS(Ci, Cj)] as {!Cost_model.transition_cost} computes it, but
-    with each built structure's cost drawn from the memo. *)

@@ -31,7 +31,8 @@ let run ?cell_jobs ?(seed = 0) cells =
     let requested =
       match cell_jobs with Some jobs -> max 1 jobs | None -> default_cell_jobs ()
     in
-    let jobs = min requested n in
+    (* More domains than cores only measures scheduler thrash. *)
+    let jobs = min (min requested n) (Parallel.ncpu ()) in
     Obs.Counter.add m_cells n;
     Obs.Counter.add m_cell_jobs jobs;
     (* Split one stream per cell up front, in declaration order, so cell

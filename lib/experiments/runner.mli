@@ -27,7 +27,10 @@
     [CDDPD_JOBS] environment variable, else
     {!Cddpd_util.Parallel.ncpu} — deliberately independent of
     [Parallel.set_default_jobs] so [--jobs] (problem construction) and
-    [--cell-jobs] (experiment cells) stay distinct knobs.  While a
+    [--cell-jobs] (experiment cells) stay distinct knobs.  The count is
+    then clamped to the number of cells and to
+    {!Cddpd_util.Parallel.ncpu}: more domains than cores only measures
+    scheduler thrash.  While a
     parallel fan-out is in flight, the nested [Parallel] default is
     pinned to 1 (and restored afterwards) so cell bodies don't
     oversubscribe the machine; [run] must be called from the main domain.

@@ -20,7 +20,7 @@ let enumerate (g : Staged_dag.t) =
   let h = Staged_dag.cost_to_go g in
   let initial_queue = ref Pqueue.empty in
   for j = 0 to n - 1 do
-    let g_cost = g.Staged_dag.source_cost j +. g.Staged_dag.node_cost 0 j in
+    let g_cost = Staged_dag.source_cost g j +. Staged_dag.node_cost g 0 j in
     initial_queue :=
       Pqueue.insert !initial_queue
         (g_cost +. h.(j))
@@ -45,8 +45,8 @@ let enumerate (g : Staged_dag.t) =
           for j' = 0 to n - 1 do
             let g_cost =
               partial.g_cost
-              +. g.Staged_dag.edge_cost partial.stage partial.node j'
-              +. g.Staged_dag.node_cost (partial.stage + 1) j'
+              +. Staged_dag.edge_cost g partial.node j'
+              +. Staged_dag.node_cost g (partial.stage + 1) j'
             in
             queue :=
               Pqueue.insert !queue
@@ -228,7 +228,7 @@ let solve_constrained g ~k ~initial ?upper_bound ?(max_paths = 1_000_000)
         end
       in
       for j = 0 to n - 1 do
-        let g_cost = g.Staged_dag.source_cost j +. g.Staged_dag.node_cost 0 j in
+        let g_cost = Staged_dag.source_cost g j +. Staged_dag.node_cost g 0 j in
         push ~node:j ~stage:0 ~parent:(-1) ~g_cost (g_cost +. h.(j))
       done;
       let rec scan rank =
@@ -257,8 +257,8 @@ let solve_constrained g ~k ~initial ?upper_bound ?(max_paths = 1_000_000)
                 for j' = 0 to n - 1 do
                   let g_cost' =
                     g_cost
-                    +. g.Staged_dag.edge_cost stage node j'
-                    +. g.Staged_dag.node_cost (stage + 1) j'
+                    +. Staged_dag.edge_cost g node j'
+                    +. Staged_dag.node_cost g (stage + 1) j'
                   in
                   push ~node:j' ~stage:(stage + 1) ~parent:id ~g_cost:g_cost'
                     (g_cost' +. h.(hb + j'))

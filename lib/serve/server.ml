@@ -16,6 +16,7 @@ module Reopt = Cddpd_core.Reopt
 module Table_stats = Cddpd_engine.Table_stats
 module Compress = Cddpd_workload.Compress
 module Cost_key = Cddpd_engine.Cost_key
+module Check = Cddpd_engine.Check
 module Timer = Cddpd_util.Timer
 module Obs = Cddpd_obs
 
@@ -66,9 +67,6 @@ type config = {
   max_structures_per_config : int option;
   space_bound_bytes : int option;
   jobs : int option;
-  reopt_reuse : bool;
-  template_cache : bool;
-  plan_cache : bool;
 }
 
 let default_config ~table =
@@ -87,9 +85,6 @@ let default_config ~table =
     max_structures_per_config = Some 1;
     space_bound_bytes = None;
     jobs = None;
-    reopt_reuse = true;
-    template_cache = true;
-    plan_cache = true;
   }
 
 type action =
@@ -159,8 +154,8 @@ type t = {
   buf : Ast.statement array;
   buf_keys : string array;  (* feed-time cost keys; "" for deferred DML *)
   buf_gens : int array;  (* statistics generation each key was computed under; -1 = deferred *)
-  parse_cache : Template.t option;  (* None when cfg.template_cache is off *)
-  probe_cache : Cost_cache.t;  (* probation what-ifs; pass-through when plan_cache is off *)
+  parse_cache : Template.t;
+  probe_cache : Cost_cache.t;  (* probation what-ifs *)
   intern : (string, string) Hashtbl.t;  (* physical sharing of equal cost keys *)
   mutable window_started_s : float;  (* wall clock at first feed of the window; 0 = unset *)
   mutable fill : int;
@@ -190,15 +185,13 @@ let create ?(on_window = fun _ -> ()) db cfg =
   {
     db;
     cfg;
-    reopt = Reopt.create ~reuse:cfg.reopt_reuse db;
+    reopt = Reopt.create db;
     on_window;
     buf = Array.make cfg.window (Ast.Select { projection = Ast.Star; table = cfg.table; where = [] });
     buf_keys = Array.make cfg.window "";
     buf_gens = Array.make cfg.window (-1);
-    parse_cache = (if cfg.template_cache then Some (Template.create ()) else None);
-    probe_cache =
-      (if cfg.plan_cache && Cost_cache.default_enabled () then Cost_cache.create ()
-       else Cost_cache.disabled);
+    parse_cache = Template.create ();
+    probe_cache = Cost_cache.create ();
     intern = Hashtbl.create 256;
     window_started_s = 0.0;
     fill = 0;
@@ -222,7 +215,7 @@ let config t = t.cfg
 
 let reopt_stats t = Reopt.stats t.reopt
 
-let template_stats t = Option.map Template.stats t.parse_cache
+let template_stats t = Some (Template.stats t.parse_cache)
 
 (* Physical sharing of equal cost keys: repeated templates produce the
    same key string once per window otherwise.  Bounded; a reset only
@@ -260,51 +253,41 @@ let feed_key t entry statement =
           (key, gen))
   | None -> (compute (), gen)
 
-let statement_table statement =
-  match statement with
-  | Ast.Select { table; _ }
-  | Ast.Select_agg { table; _ }
-  | Ast.Insert { table; _ }
-  | Ast.Delete { table; _ }
-  | Ast.Update { table; _ } ->
-      table
-
-(* The candidate structures of a re-optimization: derived from the recent
-   statements, plus whatever the incumbent design already materialises —
-   C0 must be a configuration of the space it is the seed of. *)
-let candidate_structures t statements =
-  let schema =
-    match Database.schema t.db t.cfg.table with
-    | Some schema -> schema
-    | None -> assert false
-  in
+(* The request of one re-optimization over [steps], seeded with the
+   incumbent design as C0.  Candidates are derived from the recent
+   statements, plus whatever the incumbent already materialises (C0 must
+   be a configuration of the space it is the seed of); the per-config
+   structure cap is raised if the incumbent is already larger. *)
+let reoptimization_request cfg ~schema ~incumbent steps =
   let derived =
     Cddpd_core.Candidates.structures_from_statements schema
-      ~composite_pairs:t.cfg.composite_pairs statements
+      ~composite_pairs:cfg.composite_pairs
+      (Array.concat (Array.to_list steps))
   in
-  let incumbent = Design.structures (Database.current_design t.db) in
-  derived
-  @ List.filter (fun s -> not (List.exists (Structure.equal s) derived)) incumbent
-
-(* Cap on structures per configuration: the configured cap, raised if the
-   incumbent design is already larger (it must remain representable). *)
-let max_structures t =
-  let incumbent = Design.cardinality (Database.current_design t.db) in
-  Option.map (fun m -> max m incumbent) t.cfg.max_structures_per_config
+  let kept =
+    List.filter
+      (fun s -> not (List.exists (Structure.equal s) derived))
+      (Design.structures incumbent)
+  in
+  {
+    (Advisor.default_request ~steps ~table:cfg.table) with
+    Advisor.candidates = Some (derived @ kept);
+    max_structures_per_config =
+      Option.map
+        (fun m -> max m (Design.cardinality incumbent))
+        cfg.max_structures_per_config;
+    space_bound_bytes = cfg.space_bound_bytes;
+    initial = incumbent;
+    count_initial_change = true;
+    jobs = cfg.jobs;
+  }
 
 let build_problem ?statement_keys t steps =
-  let request =
-    {
-      (Advisor.default_request ~steps ~table:t.cfg.table) with
-      Advisor.candidates = Some (candidate_structures t (Array.concat (Array.to_list steps)));
-      max_structures_per_config = max_structures t;
-      space_bound_bytes = t.cfg.space_bound_bytes;
-      initial = Database.current_design t.db;
-      count_initial_change = true;
-      jobs = t.cfg.jobs;
-    }
-  in
-  Reopt.build_problem ?statement_keys t.reopt request
+  let schema = Option.get (Database.schema t.db t.cfg.table) in
+  Reopt.build_problem ?statement_keys t.reopt
+    (reoptimization_request t.cfg ~schema
+       ~incumbent:(Database.current_design t.db)
+       steps)
 
 let migrate_measured t target =
   let logical_before, _ = Database.io_counters t.db in
@@ -325,8 +308,7 @@ let check_probation t ~stats ~window ~measured_io =
       t.probation <- None;
       let params = Database.params t.db in
       (* What-if the window's repeated templates through the probe cache:
-         bit-identical memoization (see Cost_cache), pass-through when the
-         fast path is off. *)
+         bit-identical memoization (see Cost_cache). *)
       let design_key = Cost_key.design prev_design in
       let expected =
         Array.fold_left
@@ -451,7 +433,7 @@ let close_window t window fed_keys fed_gens =
       h_statements = window;
       h_keys = keys;
       h_uniform =
-        Array.for_all (fun s -> String.equal (statement_table s) t.cfg.table) window;
+        Array.for_all (fun s -> String.equal (Ast.table_of s) t.cfg.table) window;
       h_fingerprint = fingerprint;
     }
   in
@@ -525,17 +507,12 @@ let feed_statement t ?entry statement =
      own table's statistics; serve keys everything under the served table
      (the drift convention), so only that table's reads pass one. *)
   let statement_key =
-    if
-      t.cfg.plan_cache && read_only
-      && String.equal (statement_table statement) t.cfg.table
-    then Some key
+    if read_only && String.equal (Ast.table_of statement) t.cfg.table then Some key
     else None
   in
-  let skip_check =
-    match entry with Some e -> e.Template.validated | None -> false
-  in
+  (* Statements fed as text were validated by [feed_sql]. *)
+  let skip_check = Option.is_some entry in
   let result = Database.execute ?statement_key ~skip_check t.db statement in
-  (match entry with Some e -> e.Template.validated <- true | None -> ());
   t.statements <- t.statements + 1;
   t.exec_io <- t.exec_io + result.Database.logical_io;
   t.window_io <- t.window_io + result.Database.logical_io;
@@ -555,15 +532,23 @@ let feed_statement t ?entry statement =
 
 let feed t statement = feed_statement t statement
 
+(* A cached entry carries its semantic validation, so a repeated text is
+   checked once; a rejected statement is never executed or counted. *)
+let validate t (entry : Template.entry) =
+  if entry.Template.validated then Ok ()
+  else
+    match Check.statement (Database.tables t.db) entry.Template.statement with
+    | Ok () ->
+        entry.Template.validated <- true;
+        Ok ()
+    | Error _ as e -> e
+
 let feed_sql t sql =
-  match t.parse_cache with
-  | Some cache -> (
-      match Parser.parse_cached cache sql with
-      | Ok entry -> Ok (feed_statement t ~entry entry.Template.statement)
-      | Error e -> Error e)
-  | None -> (
-      match Parser.parse sql with
-      | Ok statement -> Ok (feed_statement t statement)
+  match Parser.parse_cached t.parse_cache sql with
+  | Error e -> Error e
+  | Ok entry -> (
+      match validate t entry with
+      | Ok () -> Ok (feed_statement t ~entry entry.Template.statement)
       | Error e -> Error e)
 
 let finish t =

@@ -63,26 +63,22 @@ type config = {
   max_structures_per_config : int option;  (** default [Some 1] *)
   space_bound_bytes : int option;  (** Definition 1's b, if any *)
   jobs : int option;  (** domains for {!Cddpd_core.Problem.build} *)
-  reopt_reuse : bool;
-      (** thread a persistent {!Cddpd_core.Reopt} session through
-          re-optimizations (default [true]); [false] is the
-          [--no-reopt-reuse] escape hatch — every re-optimization builds
-          from scratch, with bit-identical results *)
-  template_cache : bool;
-      (** parse arriving SQL through a statement-template cache: distinct
-          texts cache their parsed AST, repeated statement *shapes* share
-          one skeleton with literals rebound (default [true]); [false] is
-          the [--no-template-cache] escape hatch — {!feed_sql} parses
-          every text from scratch, with bit-identical results *)
-  plan_cache : bool;
-      (** memoize plan choice on (cost identity, design) for read-only
-          statements against the served table, and what-if probation costs
-          through a {!Cddpd_engine.Cost_cache} (default [true]); [false]
-          is the [--no-plan-cache] escape hatch — every statement is
-          planned from scratch, with bit-identical results *)
 }
 
 val default_config : table:string -> config
+
+val reoptimization_request :
+  config ->
+  schema:Cddpd_catalog.Schema.table ->
+  incumbent:Cddpd_catalog.Design.t ->
+  Cddpd_sql.Ast.statement array array ->
+  Cddpd_core.Advisor.request
+(** The advisor request one continuous or reactive re-optimization solves:
+    the given windows as steps, the incumbent design as a counted C0,
+    candidates derived from the windows' statements plus the incumbent's
+    structures, and the per-configuration structure cap raised to the
+    incumbent's size.  Pure; the serve loop and the reference oracle
+    build their problems from it. *)
 
 (** What the loop did at one window close. *)
 type action =
@@ -163,18 +159,23 @@ val feed : t -> Cddpd_sql.Ast.statement -> window_report option
     Read-only statements are cost-keyed on arrival under the current
     statistics generation, so the window close reuses instead of
     recomputing their identities (see
-    {!Cddpd_engine.Database.stats_generation}). *)
+    {!Cddpd_engine.Database.stats_generation}), and reads of the served
+    table go through the plan-choice memo.  Raises [Invalid_argument] on
+    a semantically invalid statement (as
+    {!Cddpd_engine.Database.execute}); {!feed_sql} rejects those
+    instead. *)
 
 val feed_sql : t -> string -> (window_report option, string) result
-(** Parse one arriving statement text and {!feed} it — the ingest fast
-    path.  With [config.template_cache] on, parsing goes through
-    {!Cddpd_sql.Parser.parse_cached}: repeated texts reuse their AST,
-    cost key, and semantic validation; repeated shapes reparse nothing.
-    [Error] carries the parse error message; nothing was executed. *)
+(** Parse, validate and {!feed} one arriving statement text — the ingest
+    path.  Parsing goes through {!Cddpd_sql.Parser.parse_cached}:
+    repeated texts reuse their AST, cost key and semantic validation;
+    repeated shapes reparse nothing.  [Error] carries the parse error or
+    the {!Cddpd_engine.Check.statement} reason (unknown table or column,
+    literal type mismatch, INSERT arity); nothing was executed or
+    counted. *)
 
 val template_stats : t -> Cddpd_sql.Template.stats option
-(** The statement-template cache's hit/miss counters; [None] when
-    [config.template_cache] is off. *)
+(** The statement-template cache's hit/miss counters (always [Some]). *)
 
 val finish : t -> report
 (** The run summary.  Statements still in the open window have been

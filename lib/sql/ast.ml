@@ -83,6 +83,15 @@ let where_of statement =
       where
   | Insert _ -> []
 
+let table_of statement =
+  match statement with
+  | Select { table; _ }
+  | Select_agg { table; _ }
+  | Insert { table; _ }
+  | Delete { table; _ }
+  | Update { table; _ } ->
+      table
+
 let is_read_only statement =
   match statement with
   | Select _ | Select_agg _ -> true

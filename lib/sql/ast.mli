@@ -61,5 +61,8 @@ val referenced_columns : statement -> string list
 val where_of : statement -> predicate list
 (** The statement's WHERE conjunction ([\[\]] for INSERT). *)
 
+val table_of : statement -> string
+(** The table the statement reads or writes. *)
+
 val is_read_only : statement -> bool
 (** True only for SELECT. *)

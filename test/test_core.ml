@@ -617,18 +617,24 @@ let compression_bit_identity_prop =
         Problem.build ~params ~stats_of ~steps ~space ~initial:Design.empty
           ~compress_workload ()
       in
-      let plain = build false and compressed = build true in
-      matrix_bits_equal plain.Problem.exec compressed.Problem.exec
-      && matrix_bits_equal plain.Problem.trans compressed.Problem.trans
-      && List.for_all
-           (fun method_name ->
-             List.for_all
-               (fun k ->
-                 String.equal
-                   (solver_signature plain method_name k)
-                   (solver_signature compressed method_name k))
-               [ None; Some 1; Some 2; Some 3 ])
-           all_methods)
+      let reference =
+        Cddpd_reference.Reference.problem ~params ~stats_of ~steps ~space
+          ~initial:Design.empty ()
+      in
+      List.for_all
+        (fun built ->
+          matrix_bits_equal reference.Problem.exec built.Problem.exec
+          && matrix_bits_equal reference.Problem.trans built.Problem.trans
+          && List.for_all
+               (fun method_name ->
+                 List.for_all
+                   (fun k ->
+                     String.equal
+                       (solver_signature reference method_name k)
+                       (solver_signature built method_name k))
+                   [ None; Some 1; Some 2; Some 3 ])
+               all_methods)
+        [ build false; build true ])
 
 let pruning_preserves_atomic_optimum_prop =
   QCheck.Test.make

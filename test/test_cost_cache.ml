@@ -1,7 +1,7 @@
 (* Cost-cache and parallel-build tests: memoization must be invisible
-   (bit-identical costs, matrices and solver outputs, whatever the cache
-   setting or domain count) and the collision-safe keys must actually
-   distinguish distinct inputs. *)
+   (costs, matrices and solver outputs bit-identical to the uncached
+   reference oracle, whatever the domain count) and the collision-safe
+   keys must actually distinguish distinct inputs. *)
 
 module Tuple = Cddpd_storage.Tuple
 module Schema = Cddpd_catalog.Schema
@@ -18,6 +18,7 @@ module Config_space = Cddpd_core.Config_space
 module Problem = Cddpd_core.Problem
 module Optimizer = Cddpd_core.Optimizer
 module Solution = Cddpd_core.Solution
+module Reference = Cddpd_reference.Reference
 module Rng = Cddpd_util.Rng
 
 let params = Cost_model.default_params
@@ -154,10 +155,14 @@ let cached_trans_equals_uncached_prop =
       let direct =
         Cost_model.transition_cost params ~stats_of ~from_design ~to_design
       in
-      let cached =
-        Cost_cache.transition_cost shared_cache params ~stats_of ~from_design ~to_design
+      (* Problem.build's TRANS: memoized structure build costs summed over
+         design bitmasks. *)
+      let space = Config_space.of_designs [ from_design; to_design ] in
+      let problem =
+        Problem.build ~params ~stats_of ~steps:[| [||] |] ~space ~initial:from_design ()
       in
-      same_float direct cached)
+      let id = Config_space.id_of_exn space in
+      same_float direct problem.Problem.trans.(id from_design).(id to_design))
 
 (* The statement key is a cost identity, not a syntactic one: distinct
    statements may share a key (that is where the hit rate comes from), but
@@ -193,9 +198,16 @@ let steps_for_build =
 
 let space = Config_space.single_structure structure_pool
 
-let build ~jobs ~cost_cache =
+let build ~jobs =
   Problem.build ~params ~stats_of ~steps:steps_for_build ~space ~initial:Design.empty
-    ~jobs ~cost_cache ()
+    ~jobs ()
+
+let reference =
+  lazy
+    (Reference.problem ~params ~stats_of ~steps:steps_for_build ~space
+       ~initial:Design.empty ())
+
+let sweep_jobs = [ 1; 4; 13 ]
 
 let check_matrices_equal label (a : Problem.t) (b : Problem.t) =
   let matrix_equal m n =
@@ -206,15 +218,14 @@ let check_matrices_equal label (a : Problem.t) (b : Problem.t) =
   Alcotest.(check bool) (label ^ ": trans identical") true (matrix_equal a.Problem.trans b.Problem.trans)
 
 let test_build_deterministic_across_jobs () =
-  let reference = build ~jobs:1 ~cost_cache:false in
-  check_matrices_equal "jobs=1 cache" reference (build ~jobs:1 ~cost_cache:true);
-  check_matrices_equal "jobs=4 cache" reference (build ~jobs:4 ~cost_cache:true);
-  check_matrices_equal "jobs=4 nocache" reference (build ~jobs:4 ~cost_cache:false);
-  check_matrices_equal "jobs=13 cache" reference (build ~jobs:13 ~cost_cache:true)
+  List.iter
+    (fun jobs ->
+      check_matrices_equal (Printf.sprintf "jobs=%d" jobs) (Lazy.force reference)
+        (build ~jobs))
+    sweep_jobs
 
 let test_solvers_bit_identical_cached_vs_uncached () =
-  let cached = build ~jobs:4 ~cost_cache:true in
-  let uncached = build ~jobs:1 ~cost_cache:false in
+  let uncached = Lazy.force reference in
   let methods =
     [
       (Solution.Unconstrained, None);
@@ -226,20 +237,25 @@ let test_solvers_bit_identical_cached_vs_uncached () =
     ]
   in
   List.iter
-    (fun (method_name, k) ->
-      let solve problem =
-        match Optimizer.solve problem ~method_name ?k () with
-        | Ok s -> s
-        | Error _ ->
-            Alcotest.failf "solver %s failed" (Solution.method_to_string method_name)
-      in
-      let a = solve cached and b = solve uncached in
-      let name = Solution.method_to_string method_name in
-      Alcotest.(check (array int)) (name ^ ": same path") b.Solution.path a.Solution.path;
-      Alcotest.(check bool) (name ^ ": same cost bits") true
-        (same_float a.Solution.cost b.Solution.cost);
-      Alcotest.(check int) (name ^ ": same changes") b.Solution.changes a.Solution.changes)
-    methods
+    (fun jobs ->
+      let cached = build ~jobs in
+      List.iter
+        (fun (method_name, k) ->
+          let solve problem =
+            match Optimizer.solve problem ~method_name ?k () with
+            | Ok s -> s
+            | Error _ ->
+                Alcotest.failf "solver %s failed" (Solution.method_to_string method_name)
+          in
+          let a = solve cached and b = solve uncached in
+          let name = Printf.sprintf "%s jobs=%d" (Solution.method_to_string method_name) jobs in
+          Alcotest.(check (array int)) (name ^ ": same path") b.Solution.path a.Solution.path;
+          Alcotest.(check bool) (name ^ ": same cost bits") true
+            (same_float a.Solution.cost b.Solution.cost);
+          Alcotest.(check int) (name ^ ": same changes") b.Solution.changes
+            a.Solution.changes)
+        methods)
+    sweep_jobs
 
 (* -- cache mechanics ----------------------------------------------------------- *)
 
@@ -282,17 +298,6 @@ let test_merge_accumulates () =
   let s = Cost_cache.stats into in
   Alcotest.(check int) "hit on merged entry" 1 s.Cost_cache.hits
 
-let test_disabled_cache_passthrough () =
-  let statement = Ast.Select { projection = Ast.Star; table = "t"; where = [] } in
-  let direct = Cost_model.statement_cost params stats Design.empty statement in
-  let through =
-    Cost_cache.statement_cost Cost_cache.disabled params stats ~design:Design.empty
-      statement
-  in
-  Alcotest.(check bool) "same value" true (same_float direct through);
-  let s = Cost_cache.stats Cost_cache.disabled in
-  Alcotest.(check int) "no stats" 0 (s.Cost_cache.hits + s.Cost_cache.misses)
-
 let () =
   Alcotest.run "cost_cache"
     [
@@ -316,6 +321,5 @@ let () =
           Alcotest.test_case "eviction keeps answers" `Quick
             test_cache_eviction_keeps_answers;
           Alcotest.test_case "merge accumulates" `Quick test_merge_accumulates;
-          Alcotest.test_case "disabled passthrough" `Quick test_disabled_cache_passthrough;
         ] );
     ]

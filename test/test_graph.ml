@@ -10,16 +10,12 @@ type instance = {
   n_stages : int;
   n_nodes : int;
   node : float array array; (* stage x node *)
-  edge : float array array array; (* stage x src x dst *)
+  edge : float array array; (* src x dst, the same at every stage *)
   source : float array;
 }
 
 let graph_of_instance inst =
-  Staged_dag.make ~n_stages:inst.n_stages ~n_nodes:inst.n_nodes
-    ~node_cost:(fun s j -> inst.node.(s).(j))
-    ~edge_cost:(fun s i j -> inst.edge.(s).(i).(j))
-    ~source_cost:(fun j -> inst.source.(j))
-    ()
+  Staged_dag.of_matrices ~exec:inst.node ~trans:inst.edge ~source:inst.source ()
 
 let instance_gen =
   QCheck.Gen.(
@@ -28,9 +24,7 @@ let instance_gen =
     int_range 1 4 >>= fun n_nodes ->
     let matrix rows cols = array_size (return rows) (array_size (return cols) cost) in
     matrix n_stages n_nodes >>= fun node ->
-    array_size (return (max 1 (n_stages - 1)))
-      (matrix n_nodes n_nodes)
-    >>= fun edge ->
+    matrix n_nodes n_nodes >>= fun edge ->
     array_size (return n_nodes) cost >>= fun source ->
     return { n_stages; n_nodes; node; edge; source })
 
@@ -63,9 +57,9 @@ let changes ~initial path =
 let tiny_graph () =
   (* 2 stages, 2 nodes.  Node costs: stage0 = [10; 1], stage1 = [10; 1].
      Edge cost 5 when switching, 0 otherwise.  Source edges free. *)
-  Staged_dag.make ~n_stages:2 ~n_nodes:2
-    ~node_cost:(fun _ j -> if j = 0 then 10.0 else 1.0)
-    ~edge_cost:(fun _ i j -> if i = j then 0.0 else 5.0)
+  Staged_dag.of_matrices
+    ~exec:[| [| 10.0; 1.0 |]; [| 10.0; 1.0 |] |]
+    ~trans:[| [| 0.0; 5.0 |]; [| 5.0; 0.0 |] |]
     ()
 
 let test_shortest_path_tiny () =
@@ -88,15 +82,14 @@ let test_path_changes () =
     (Staged_dag.path_changes g ~initial:(Some 1) [| 1; 1 |])
 
 let test_make_invalid () =
-  Alcotest.(check bool) "zero stages rejected" true
-    (match
-       Staged_dag.make ~n_stages:0 ~n_nodes:1
-         ~node_cost:(fun _ _ -> 0.0)
-         ~edge_cost:(fun _ _ _ -> 0.0)
-         ()
-     with
-    | _ -> false
-    | exception Invalid_argument _ -> true)
+  let rejected name f =
+    Alcotest.(check bool) name true
+      (match f () with _ -> false | exception Invalid_argument _ -> true)
+  in
+  rejected "zero stages rejected" (fun () ->
+      Staged_dag.of_matrices ~exec:[||] ~trans:[| [| 0.0 |] |] ());
+  rejected "zero nodes rejected" (fun () ->
+      Staged_dag.of_matrices ~exec:[| [||] |] ~trans:[||] ())
 
 let test_kaware_k0_stays () =
   (* With k=0 and an initial node, the only feasible path stays put. *)
@@ -185,7 +178,8 @@ let test_of_matrices_invalid () =
 
 (* -- properties ------------------------------------------------------------------- *)
 
-(* A dense-representable instance: stage-invariant edge costs. *)
+(* The same instance shape as a matrix triple, for properties that build
+   the graph straight from the matrices. *)
 let dense_instance_gen =
   QCheck.Gen.(
     let cost = map (fun i -> float_of_int i) (int_bound 50) in
@@ -204,30 +198,6 @@ let dense_instance_arbitrary =
     dense_instance_gen
 
 let same_float a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
-
-let dense_matches_closures =
-  QCheck.Test.make ~name:"of_matrices DP = closure DP, bit for bit" ~count:200
-    (QCheck.pair dense_instance_arbitrary (QCheck.int_bound 4))
-    (fun ((exec, trans, source), k) ->
-      let n_stages = Array.length exec and n_nodes = Array.length trans in
-      let dense_g = Staged_dag.of_matrices ~exec ~trans ~source () in
-      let closure_g =
-        Staged_dag.make ~n_stages ~n_nodes
-          ~node_cost:(fun s j -> exec.(s).(j))
-          ~edge_cost:(fun _ i j -> trans.(i).(j))
-          ~source_cost:(fun j -> source.(j))
-          ()
-      in
-      let dc, dp = Staged_dag.shortest_path dense_g in
-      let cc, cp = Staged_dag.shortest_path closure_g in
-      same_float dc cc && dp = cp
-      &&
-      match
-        (Kaware.solve dense_g ~k ~initial:(Some 0), Kaware.solve closure_g ~k ~initial:(Some 0))
-      with
-      | Some (dkc, dkp), Some (ckc, ckp) -> same_float dkc ckc && dkp = ckp
-      | None, None -> true
-      | _ -> false)
 
 let shortest_path_matches_bruteforce =
   QCheck.Test.make ~name:"shortest_path = brute force" ~count:200 instance_arbitrary
@@ -380,7 +350,7 @@ let kaware_bruteforce_all_k =
           n_stages;
           n_nodes;
           node = exec;
-          edge = Array.make (max 1 (n_stages - 1)) trans;
+          edge = trans;
           source;
         }
       in
@@ -443,7 +413,6 @@ let () =
       ( "properties",
         [
           QCheck_alcotest.to_alcotest shortest_path_matches_bruteforce;
-          QCheck_alcotest.to_alcotest dense_matches_closures;
           QCheck_alcotest.to_alcotest cost_to_go_consistent;
           QCheck_alcotest.to_alcotest kaware_matches_bruteforce;
           QCheck_alcotest.to_alcotest kaware_bruteforce_all_k;

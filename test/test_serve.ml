@@ -307,60 +307,160 @@ let test_serve_validates_config () =
     (Invalid_argument "Server.create: unknown table missing") (fun () ->
       ignore (Server.create db { (serve_config ()) with Server.table = "missing" }))
 
-(* The ingest fast path (template cache + plan memo + feed-time cost keys)
-   must be a pure speedup: the same raw texts fed through [feed_sql] with
-   both caches off — the [--no-template-cache --no-plan-cache] arm — must
-   produce a bit-identical report. *)
-let test_serve_cache_flags_bit_identical () =
+(* -- Server against the reference oracle ----------------------------------- *)
+
+module Reference = Cddpd_reference.Reference
+
+(* Drifting raw texts with some DML mixed in, so the non-read-only path
+   and mid-window statistics changes are exercised too. *)
+let mixed_texts ~window =
+  let phase_texts column n =
+    Array.init n (fun i ->
+        if i mod 17 = 9 then
+          Printf.sprintf "INSERT INTO t VALUES (%d, %d, %d, %d)"
+            (1 + (i mod value_range))
+            (i mod value_range) (i mod 7) (i mod 11)
+        else
+          Printf.sprintf "SELECT * FROM t WHERE %s = %d" column
+            (1 + ((i * 37) mod value_range)))
+  in
+  Array.concat
+    [ phase_texts "a" (3 * window); phase_texts "c" window; phase_texts "a" (2 * window) ]
+
+(* Serve [statements] (fed as text when [texts] is given) and check every
+   window decision against the reference rebuild as it happens. *)
+let serve_checked ?texts cfg statements =
+  let db = make_db () in
+  let failures = ref [] in
+  let on_window w =
+    match Reference.reoptimize db cfg ~trace:statements w with
+    | Ok () -> ()
+    | Error e -> failures := e :: !failures
+  in
+  let server = Server.create ~on_window db cfg in
+  (match texts with
+  | None -> Array.iter (fun s -> ignore (Server.feed server s)) statements
+  | Some texts ->
+      Array.iter
+        (fun sql ->
+          match Server.feed_sql server sql with
+          | Ok _ -> ()
+          | Error e -> Alcotest.failf "rejected %S: %s" sql e)
+        texts);
+  Alcotest.(check (list string)) "every decision matches the reference" []
+    (List.rev !failures);
+  (Server.finish server, server)
+
+(* The ingest fast path (template cache, plan memo, feed-time cost keys)
+   must be a pure speedup: the reference replay of the same texts must
+   measure the same windows, and every decision must match the rebuild. *)
+let test_serve_fast_path_matches_reference () =
   let window = 50 in
-  let texts =
-    let phase_texts column n =
-      Array.init n (fun i ->
-          if i mod 17 = 9 then
-            (* some DML so the non-read-only path is exercised too *)
-            Printf.sprintf "INSERT INTO t VALUES (%d, %d, %d, %d)"
-              (1 + (i mod value_range))
-              (i mod value_range) (i mod 7) (i mod 11)
-          else
-            Printf.sprintf "SELECT * FROM t WHERE %s = %d" column
-              (1 + ((i * 37) mod value_range)))
-    in
-    Array.concat
-      [
-        phase_texts "a" (3 * window);
-        phase_texts "c" window;
-        phase_texts "a" (2 * window);
-      ]
+  let texts = mixed_texts ~window in
+  let cfg = serve_config ~window () in
+  let report, server =
+    serve_checked ~texts cfg (Array.map Parser.parse_exn texts)
   in
-  let run ~fast =
-    let cfg =
-      {
-        (serve_config ~window ()) with
-        Server.template_cache = fast;
-        plan_cache = fast;
-      }
-    in
-    let server = Server.create (make_db ()) cfg in
-    Array.iter
-      (fun sql ->
-        match Server.feed_sql server sql with
-        | Ok _ -> ()
-        | Error e -> Alcotest.failf "parse error on %S: %s" sql e)
-      texts;
-    (Server.finish server, Server.template_stats server)
-  in
-  let fast_report, fast_stats = run ~fast:true in
-  let slow_report, slow_stats = run ~fast:false in
-  Alcotest.(check string) "reports bit-identical"
-    (report_fingerprint slow_report)
-    (report_fingerprint fast_report);
-  Alcotest.(check bool) "slow arm has no template cache" true (slow_stats = None);
-  match fast_stats with
-  | None -> Alcotest.fail "fast arm should expose template stats"
+  (match Reference.replay (make_db ()) cfg report texts with
+  | Ok r ->
+      Alcotest.(check int) "every window replayed"
+        (Array.length report.Server.windows)
+        (Array.length r.Reference.windows)
+  | Error e -> Alcotest.failf "replay disagrees: %s" e);
+  match Server.template_stats server with
+  | None -> Alcotest.fail "template stats are always available"
   | Some s ->
       Alcotest.(check bool) "exact hits" true (s.Cddpd_sql.Template.exact_hits > 0);
       Alcotest.(check bool) "template hits" true
         (s.Cddpd_sql.Template.template_hits > 0)
+
+(* Statements that parse but fail semantic checking are rejected with a
+   reason: nothing executes, nothing is counted, and serving goes on. *)
+let test_serve_rejects_invalid_statements () =
+  let server = Server.create (make_db ()) (serve_config ~window:50 ()) in
+  let statements () = (Server.finish server).Server.statements in
+  List.iter
+    (fun sql ->
+      (match Server.feed_sql server sql with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "%S should be rejected" sql);
+      Alcotest.(check int) (sql ^ ": not counted") 0 (statements ()))
+    [
+      "SELECT * FROM t WHERE zz = 1";
+      "SELECT * FROM missing WHERE a = 1";
+      "INSERT INTO t VALUES (1)";
+    ];
+  (match Server.feed_sql server "SELECT * FROM t WHERE a = 1" with
+  | Ok None -> ()
+  | Ok (Some _) -> Alcotest.fail "one statement cannot close a window"
+  | Error e -> Alcotest.failf "valid statement rejected: %s" e);
+  Alcotest.(check int) "the valid statement is served" 1 (statements ())
+
+(* The oracle must have teeth: a report with one window's design or
+   measured I/O perturbed fails the replay, and a flipped action fails the
+   rebuild check. *)
+let drifting_texts ~window =
+  Array.map Cddpd_sql.Printer.to_string (drifting_trace ~window)
+
+let perturb_window (report : Server.report) i f =
+  let windows = Array.copy report.Server.windows in
+  windows.(i) <- f windows.(i);
+  { report with Server.windows }
+
+let test_reference_replay_has_teeth () =
+  let window = 50 in
+  let texts = drifting_texts ~window in
+  let cfg = serve_config ~window () in
+  let report = Server.run (make_db ()) cfg (drifting_trace ~window) in
+  let replay report = Reference.replay (make_db ()) cfg report texts in
+  (match replay report with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "unperturbed replay disagrees: %s" e);
+  let fails name report =
+    Alcotest.(check bool) name true (Result.is_error (replay report))
+  in
+  fails "perturbed window I/O"
+    (perturb_window report 2 (fun w ->
+         { w with Server.exec_logical_io = w.Server.exec_logical_io + 1 }));
+  fails "perturbed window design"
+    (perturb_window report 2 (fun w ->
+         { w with Server.design = Design.singleton (Index_def.make ~table:"t" ~columns:[ "b" ]) }))
+
+let test_reference_reoptimize_has_teeth () =
+  let window = 50 in
+  let trace = drifting_trace ~window in
+  let cfg = serve_config ~window () in
+  let db = make_db () in
+  let server = Server.create db cfg in
+  (* Check each window while the database is in its decision-time state. *)
+  let flipped = ref 0 in
+  Array.iter
+    (fun s ->
+      match Server.feed server s with
+      | None -> ()
+      | Some w ->
+          let flip =
+            match w.Server.action with
+            | Server.Deployed { design; projection = Some projection; _ } ->
+                Some (Server.Rejected { design; projection })
+            | Server.Held _ -> Some Server.No_action
+            | Server.No_action -> Some (Server.Held None)
+            | Server.Deployed _ | Server.Rejected _ | Server.Rolled_back _ -> None
+          in
+          (match Reference.reoptimize db cfg ~trace w with
+          | Ok () -> ()
+          | Error e -> Alcotest.failf "unflipped window disagrees: %s" e);
+          Option.iter
+            (fun action ->
+              incr flipped;
+              Alcotest.(check bool)
+                (Printf.sprintf "window %d flipped" w.Server.index)
+                true
+                (Result.is_error
+                   (Reference.reoptimize db cfg ~trace { w with Server.action })))
+            flip)
+    trace;
+  Alcotest.(check bool) "some windows were flipped" true (!flipped >= 3)
 
 (* -- Reopt: incremental re-optimization ------------------------------------ *)
 
@@ -585,25 +685,16 @@ let test_reopt_stale_stats_invalidation () =
     "no exec column crosses a stats change" 0 d.d_exec_reused;
   Alcotest.(check bool) "full recost" true (d.d_recosted > 0)
 
-(* End to end through the server: a whole serve run with the persistent
-   session must be indistinguishable from one that rebuilds from scratch
-   at every re-optimization — while actually reusing state. *)
+(* End to end through the server: every re-optimization of a serve run
+   with the persistent session must be indistinguishable from the
+   reference rebuild from scratch — while actually reusing state. *)
 let test_serve_reuse_bit_identical () =
   let window = 50 in
-  let trace = drifting_trace ~window in
-  let run reuse =
-    Server.run (make_db ())
-      { (serve_config ~window ()) with Server.reopt_reuse = reuse }
-      trace
-  in
-  let with_reuse = run true and from_scratch = run false in
-  Alcotest.(check string)
-    "reuse on = reuse off" (report_fingerprint from_scratch)
-    (report_fingerprint with_reuse);
+  let report, _ = serve_checked (serve_config ~window ()) (drifting_trace ~window) in
+  Alcotest.(check bool) "the oracle rebuilt re-optimizations" true
+    (report.Server.reoptimizations >= 2);
   Alcotest.(check bool) "the session actually reused state" true
-    (with_reuse.Server.reopt.Reopt.reuse.Problem.Reuse.trans_blocks_reused > 0);
-  Alcotest.(check int) "from-scratch arm carries no reuse state" 0
-    from_scratch.Server.reopt.Reopt.reuse.Problem.Reuse.builds
+    (report.Server.reopt.Reopt.reuse.Problem.Reuse.trans_blocks_reused > 0)
 
 let () =
   Alcotest.run "serve"
@@ -640,8 +731,16 @@ let () =
           Alcotest.test_case "non-positive threshold" `Quick
             test_serve_reopt_every_window_when_threshold_nonpositive;
           Alcotest.test_case "config validation" `Quick test_serve_validates_config;
-          Alcotest.test_case "cache flags bit-identical" `Quick
-            test_serve_cache_flags_bit_identical;
+          Alcotest.test_case "fast path matches reference replay" `Quick
+            test_serve_fast_path_matches_reference;
+          Alcotest.test_case "rejects invalid statements" `Quick
+            test_serve_rejects_invalid_statements;
+        ] );
+      ( "oracle",
+        [
+          Alcotest.test_case "replay has teeth" `Quick test_reference_replay_has_teeth;
+          Alcotest.test_case "reoptimize has teeth" `Quick
+            test_reference_reoptimize_has_teeth;
         ] );
       ( "reopt",
         [
