@@ -15,11 +15,16 @@ let m_migrations = Obs.Registry.counter "database.migrations"
 let m_structures_built = Obs.Registry.counter "database.structures_built"
 let m_structures_dropped = Obs.Registry.counter "database.structures_dropped"
 
+(* An integer column's live values, ascending, for exact histograms. *)
+type int_column = { name : string; pos : int; values : Sorted_column.t }
+
 type table_state = {
   schema : Schema.table;
   heap : Heap_file.t;
   mutable indexes : Index.t list;
   mutable views : Mat_view.t list;
+  mutable columns : int_column list option;
+      (* schema order; None until the first collection after create or load *)
   mutable stats : Table_stats.t option; (* None when stale *)
   mutable stats_gen : int; (* bumped whenever the snapshot is invalidated or replaced *)
 }
@@ -51,6 +56,7 @@ let create ?(pool_capacity = 256) ?readahead ?(params = Cost_model.default_param
           heap = Heap_file.create pool;
           indexes = [];
           views = [];
+          columns = None;
           stats = None;
           stats_gen = 0;
         })
@@ -79,30 +85,46 @@ let tables t = List.map (fun name -> (table_state t name).schema) t.table_order
 
 let row_count t name = Heap_file.n_tuples (table_state t name).heap
 
+let page_count t name = Heap_file.n_pages (table_state t name).heap
+
+let iter_rows t name f = Heap_file.iter (table_state t name).heap (fun _rid tuple -> f tuple)
+
 (* -- statistics ----------------------------------------------------------- *)
 
-let collect_stats state =
-  let columns = state.schema.Schema.columns in
-  let int_columns =
-    List.filter_map
-      (fun (c : Schema.column) ->
-        match c.Schema.ty with
-        | Schema.Int_type -> Some c.Schema.name
-        | Schema.Text_type -> None)
-      columns
-  in
+(* The first collection after create or load: one heap scan into an array
+   per integer column, each sorted once and kept.  From then on DML
+   patches the arrays ([patch_columns]), so a refresh reads no page. *)
+let scan_columns state =
   let n = Heap_file.n_tuples state.heap in
   let buffers =
-    List.map
-      (fun name -> (name, Schema.column_index_exn state.schema name, Array.make n 0))
-      int_columns
+    List.concat
+      (List.mapi
+         (fun pos (c : Schema.column) ->
+           match c.Schema.ty with
+           | Schema.Int_type -> [ (c.Schema.name, pos, Array.make n 0) ]
+           | Schema.Text_type -> [])
+         state.schema.Schema.columns)
   in
   let row = ref 0 in
   Heap_file.iter state.heap (fun _rid tuple ->
       List.iter (fun (_, pos, buf) -> buf.(!row) <- Tuple.int_exn tuple.(pos)) buffers;
       incr row);
-  let histograms = List.map (fun (name, _, buf) -> (name, Histogram.build buf)) buffers in
-  Table_stats.make ~row_count:n ~page_count:(Heap_file.n_pages state.heap) ~histograms
+  List.map
+    (fun (name, pos, buf) -> { name; pos; values = Sorted_column.of_unsorted buf })
+    buffers
+
+let collect_stats state =
+  let columns =
+    match state.columns with
+    | Some columns -> columns
+    | None ->
+        let columns = scan_columns state in
+        state.columns <- Some columns;
+        columns
+  in
+  let histograms = List.map (fun c -> (c.name, Sorted_column.histogram c.values)) columns in
+  Table_stats.make ~row_count:(Heap_file.n_tuples state.heap)
+    ~page_count:(Heap_file.n_pages state.heap) ~histograms
 
 let table_stats t name =
   let state = table_state t name in
@@ -122,6 +144,35 @@ let table_stats t name =
 let invalidate_stats state =
   state.stats <- None;
   state.stats_gen <- state.stats_gen + 1
+
+(* Bring the sorted columns up to date with one DML statement: the rows it
+   removed and added, merged once per column.  [touches] limits the patch
+   to the columns an UPDATE assigns.  Before the first collection there
+   is nothing to patch. *)
+let patch_columns ?(touches = fun _ -> true) state ~removed ~added =
+  Option.iter
+    (List.iter (fun c ->
+         if touches c.name then
+           let values rows =
+             Array.of_list (List.map (fun (tuple : Tuple.t) -> Tuple.int_exn tuple.(c.pos)) rows)
+           in
+           Sorted_column.patch c.values ~removed:(values removed) ~added:(values added)))
+    state.columns
+
+(* Run one DML statement's mutation, which returns the rows it removed and
+   added, then patch the columns and invalidate.  A mutation that raises
+   part-way may leave the heap ahead of the columns, so the columns are
+   dropped and the next collection rescans. *)
+let mutate ?touches state f =
+  match f () with
+  | result, removed, added ->
+      patch_columns ?touches state ~removed ~added;
+      invalidate_stats state;
+      result
+  | exception e ->
+      state.columns <- None;
+      invalidate_stats state;
+      raise e
 
 let analyze t =
   List.iter
@@ -179,7 +230,9 @@ let load ?(bulk = true) t ~table rows =
   | true, _, _ -> bulk_load t state rows);
   (* Invalidate rather than recompute: statistics are rebuilt on the first
      [table_stats] call, the same convention as the DML paths.  Loading a
-     table that is never analyzed costs no histogram pass. *)
+     table that is never analyzed costs no histogram pass; the sorted
+     columns are dropped, so that call rescans the heap. *)
+  state.columns <- None;
   invalidate_stats state
 
 (* -- physical design ------------------------------------------------------ *)
@@ -535,14 +588,13 @@ let delete_row state rid tuple =
 
 let run_delete t ~table ~where =
   let state = table_state t table in
-  let victims, plan = collect_matching t state ~table ~where in
-  List.iter (fun (rid, tuple) -> delete_row state rid tuple) victims;
-  invalidate_stats state;
-  (List.length victims, plan)
+  mutate state (fun () ->
+      let victims, plan = collect_matching t state ~table ~where in
+      List.iter (fun (rid, tuple) -> delete_row state rid tuple) victims;
+      ((List.length victims, plan), List.map snd victims, []))
 
 let run_update t ~table ~assignments ~where =
   let state = table_state t table in
-  let victims, plan = collect_matching t state ~table ~where in
   let apply tuple =
     let updated = Array.copy tuple in
     List.iter
@@ -551,15 +603,21 @@ let run_update t ~table ~assignments ~where =
       assignments;
     updated
   in
-  (* Implemented as delete + reinsert, which keeps every index consistent
-     even when an assignment touches a key column. *)
-  List.iter
-    (fun (rid, tuple) ->
-      delete_row state rid tuple;
-      insert_row state (apply tuple))
-    victims;
-  invalidate_stats state;
-  (List.length victims, plan)
+  let touches column = List.exists (fun (c, _) -> String.equal c column) assignments in
+  mutate ~touches state (fun () ->
+      let victims, plan = collect_matching t state ~table ~where in
+      (* Implemented as delete + reinsert, which keeps every index consistent
+         even when an assignment touches a key column. *)
+      let updated =
+        List.map
+          (fun (rid, tuple) ->
+            delete_row state rid tuple;
+            let row = apply tuple in
+            insert_row state row;
+            row)
+          victims
+      in
+      ((List.length victims, plan), List.map snd victims, updated))
 
 (* Run an aggregate query: either from a matching materialized view or by
    scanning and hashing on the fly. *)
@@ -660,6 +718,12 @@ let plan_cache_stats t = Plan_cache.stats t.plan_cache
 
 let execute ?statement_key ?(skip_check = false) t statement =
   if not skip_check then Check.statement_exn (tables t) statement;
+  (* A DELETE/UPDATE plans its find phase on current statistics; bring them
+     up to date before the meters start, since maintaining statistics is
+     not the statement's own I/O. *)
+  (match statement with
+  | Ast.Delete { table; _ } | Ast.Update { table; _ } -> ignore (table_stats t table)
+  | Ast.Select _ | Ast.Select_agg _ | Ast.Insert _ -> ());
   let logical_before = pool_accesses t in
   let physical_before = disk_reads t in
   let rows, affected, plan =
@@ -686,8 +750,10 @@ let execute ?statement_key ?(skip_check = false) t statement =
         (run_select_agg t ~table ~group_by ~aggregate ~where plan, 0, Some plan)
     | Ast.Insert { table; values } ->
         let state = table_state t table in
-        insert_row state (Array.of_list values);
-        invalidate_stats state;
+        let row = Array.of_list values in
+        mutate state (fun () ->
+            insert_row state row;
+            ((), [], [ row ]));
         ([], 1, None)
     | Ast.Delete { table; where } ->
         let affected, plan = run_delete t ~table ~where in

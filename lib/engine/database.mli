@@ -27,8 +27,10 @@ val tables : t -> Cddpd_catalog.Schema.table list
 
 val load : ?bulk:bool -> t -> table:string -> Cddpd_storage.Tuple.t array -> unit
 (** Bulk-append tuples, maintaining any existing indexes and views, and
-    invalidate the table's statistics (recomputed lazily at the next
-    {!table_stats}/{!analyze}).  With [bulk] (the default) and at least
+    invalidate the table's statistics.  Loading also drops the table's
+    sorted column values (see {!table_stats}), so the next
+    {!table_stats}/{!analyze} collects from scratch: one heap scan and
+    one sort per integer column.  With [bulk] (the default) and at least
     one existing structure, rows go heap-first and each structure is then
     rebuilt once via a sorted bulk load — same resulting logical state as
     the row-at-a-time path ([bulk:false]), built in O(n log n) instead of
@@ -38,12 +40,39 @@ val load : ?bulk:bool -> t -> table:string -> Cddpd_storage.Tuple.t array -> uni
 
 val row_count : t -> string -> int
 
+val page_count : t -> string -> int
+(** Heap pages of the table. *)
+
+val iter_rows : t -> string -> (Cddpd_storage.Tuple.t -> unit) -> unit
+(** Every live row in heap order, read through the buffer pool (so the
+    scan counts as I/O).  For oracles and tests; the engine's own scans
+    run through {!execute}. *)
+
 val analyze : t -> unit
-(** (Re)collect statistics for every table. *)
+(** Replace every table's statistics with a fresh snapshot, collected
+    as {!table_stats} collects a stale one. *)
 
 val table_stats : t -> string -> Table_stats.t
 (** Statistics for the table, computing them if stale.  Raises
-    [Invalid_argument] on an unknown table. *)
+    [Invalid_argument] on an unknown table.
+
+    Each table keeps its integer columns' live values as sorted arrays.
+    The first collection after {!create} or {!load} builds them: a full
+    heap scan through the buffer pool plus one sort per integer column.
+    From then on every INSERT, DELETE and UPDATE patches them exactly,
+    one merge per column per statement (an UPDATE skips the columns it
+    does not assign).  So a later refresh reads no page and costs O(n)
+    per integer column for n rows, and the histograms are bit-identical
+    to a fresh scan's.  The arrays cost 8 bytes per row per integer
+    column (up to half as much again as spare capacity after INSERTs
+    grow them), for as long as the database lives.
+
+    A DELETE or UPDATE that finds the statistics stale refreshes them
+    before its I/O meters start: the refresh is not billed to the
+    statement's [logical_io].  Only the first collection reads pages, so
+    this matters only when such a statement is the first to read
+    statistics after {!create} or {!load}; a SELECT there still bills
+    that scan to itself. *)
 
 val stats_generation : t -> string -> int
 (** The table's statistics generation: bumped by every invalidation (DML,

@@ -7,11 +7,9 @@ type bucket = {
 
 type t = { total : int; total_distinct : int; buckets : bucket array }
 
-let build ?(buckets = 64) values =
-  if buckets <= 0 then invalid_arg "Histogram.build: buckets <= 0";
-  let sorted = Array.copy values in
-  Array.sort Int.compare sorted;
-  let n = Array.length sorted in
+let of_sorted ?(buckets = 64) ~n sorted =
+  if buckets <= 0 then invalid_arg "Histogram.of_sorted: buckets <= 0";
+  if n < 0 || n > Array.length sorted then invalid_arg "Histogram.of_sorted: n out of range";
   if n = 0 then { total = 0; total_distinct = 0; buckets = [||] }
   else begin
     let per_bucket = max 1 ((n + buckets - 1) / buckets) in
@@ -39,6 +37,12 @@ let build ?(buckets = 64) values =
     done;
     { total = n; total_distinct = !total_distinct; buckets = Array.of_list (List.rev !out) }
   end
+
+let build ?(buckets = 64) values =
+  if buckets <= 0 then invalid_arg "Histogram.build: buckets <= 0";
+  let sorted = Array.copy values in
+  Array.sort Int.compare sorted;
+  of_sorted ~buckets ~n:(Array.length sorted) sorted
 
 let n_values t = t.total
 

@@ -11,7 +11,16 @@ type t
 val build : ?buckets:int -> int array -> t
 (** [build ?buckets values] builds a histogram with at most [buckets]
     buckets (default 64).  The input array is not modified.  Raises
-    [Invalid_argument] if [buckets <= 0]. *)
+    [Invalid_argument] if [buckets <= 0].  Equivalent to sorting a copy
+    and calling {!of_sorted}. *)
+
+val of_sorted : ?buckets:int -> n:int -> int array -> t
+(** [of_sorted ?buckets ~n sorted] builds the same histogram as {!build}
+    over the first [n] elements of [sorted], which must be in ascending
+    order (not checked): O(n), no allocation beyond the buckets.  The
+    array may be longer than [n]; the tail is ignored.  Raises
+    [Invalid_argument] if [buckets <= 0] or [n] is outside
+    [\[0, Array.length sorted\]]. *)
 
 val n_values : t -> int
 (** Total number of (non-distinct) values the histogram summarises. *)

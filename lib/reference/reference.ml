@@ -1,6 +1,10 @@
 module Ast = Cddpd_sql.Ast
 module Parser = Cddpd_sql.Parser
 module Design = Cddpd_catalog.Design
+module Schema = Cddpd_catalog.Schema
+module Tuple = Cddpd_storage.Tuple
+module Histogram = Cddpd_engine.Histogram
+module Table_stats = Cddpd_engine.Table_stats
 module Cost_model = Cddpd_engine.Cost_model
 module Cost_key = Cddpd_engine.Cost_key
 module Check = Cddpd_engine.Check
@@ -43,6 +47,31 @@ let problem ~params ~stats_of ~steps ~space ~initial ?(count_initial_change = fa
   Problem.of_matrices ~steps ~space
     ~initial:(Config_space.id_of_exn space initial)
     ~exec ~trans ~count_initial_change ()
+
+(* -- statistics ---------------------------------------------------------------- *)
+
+let table_stats db table =
+  let schema = Option.get (Database.schema db table) in
+  let int_columns =
+    List.concat
+      (List.mapi
+         (fun pos (c : Schema.column) ->
+           match c.Schema.ty with
+           | Schema.Int_type -> [ (c.Schema.name, pos) ]
+           | Schema.Text_type -> [])
+         schema.Schema.columns)
+  in
+  let rows = ref [] in
+  Database.iter_rows db table (fun tuple -> rows := tuple :: !rows);
+  let rows = Array.of_list (List.rev !rows) in
+  let histograms =
+    List.map
+      (fun (name, pos) ->
+        (name, Histogram.build (Array.map (fun tuple -> Tuple.int_exn tuple.(pos)) rows)))
+      int_columns
+  in
+  Table_stats.make ~row_count:(Array.length rows)
+    ~page_count:(Database.page_count db table) ~histograms
 
 (* -- serve replay ------------------------------------------------------------- *)
 

@@ -1,10 +1,11 @@
 (** The reference oracle: the naive, uncached computations that every
     production fast path must reproduce bit for bit.
 
-    The production pipeline memoizes what-if calls ({!Cddpd_engine.Cost_cache}),
-    parses through a statement-template cache, memoizes plan choice,
-    keys statements once on arrival, and re-optimizes through a
-    persistent {!Cddpd_core.Reopt} session.  None of that is switchable:
+    The production pipeline maintains table statistics incrementally,
+    memoizes what-if calls ({!Cddpd_engine.Cost_cache}), parses through
+    a statement-template cache, memoizes plan choice, keys statements
+    once on arrival, and re-optimizes through a persistent
+    {!Cddpd_core.Reopt} session.  None of that is switchable:
     this module is the single slow path those optimizations are compared
     against.  The tests and the bench harness link it; the [cddpd]
     binary does not. *)
@@ -24,6 +25,16 @@ val problem :
     order and each TRANS entry from [transition_cost] — the floats
     {!Cddpd_core.Problem.build} must equal at any [jobs], compressed or
     not, with or without a reuse session. *)
+
+(** {1 Statistics} *)
+
+val table_stats : Cddpd_engine.Database.t -> string -> Cddpd_engine.Table_stats.t
+(** The table's statistics collected from scratch: a full heap scan
+    ({!Cddpd_engine.Database.iter_rows}, which reads through the buffer
+    pool) and {!Cddpd_engine.Histogram.build} per integer column — what
+    {!Cddpd_engine.Database.table_stats} must equal, by
+    {!Cddpd_engine.Table_stats.fingerprint}, after any sequence of loads
+    and DML.  Does not touch the database's own statistics. *)
 
 (** {1 Serve loop} *)
 

@@ -64,6 +64,40 @@ let histogram_range_bounds_prop =
       let wide = Histogram.selectivity_range h ~lo:(Some 0) ~hi:(Some (split + 100)) in
       narrow >= 0.0 && narrow <= 1.0 && wide >= narrow)
 
+(* [of_sorted] over an ascending array padded with junk past [n] must give
+   the histogram [build] gives for the same values. *)
+let of_sorted_matches_build ~buckets ~pad values =
+  let sorted = Array.copy values in
+  Array.sort Int.compare sorted;
+  let backing = Array.append sorted (Array.make pad (-7)) in
+  String.equal
+    (Histogram.fingerprint (Histogram.build ~buckets values))
+    (Histogram.fingerprint (Histogram.of_sorted ~buckets ~n:(Array.length values) backing))
+
+let test_histogram_of_sorted_edges () =
+  let check name ~buckets ~pad values =
+    Alcotest.(check bool) name true (of_sorted_matches_build ~buckets ~pad values)
+  in
+  check "n = 0" ~buckets:64 ~pad:0 [||];
+  check "n = 0, spare capacity" ~buckets:64 ~pad:5 [||];
+  check "all equal" ~buckets:8 ~pad:0 (Array.make 100 42);
+  check "fewer rows than buckets" ~buckets:64 ~pad:0 [| 9; 3; 3; 1 |];
+  check "backing array longer than n" ~buckets:4 ~pad:10 (Array.init 50 (fun i -> i mod 7));
+  Alcotest.check_raises "n past the array"
+    (Invalid_argument "Histogram.of_sorted: n out of range") (fun () ->
+      ignore (Histogram.of_sorted ~n:3 [| 1; 2 |]))
+
+let histogram_of_sorted_prop =
+  QCheck.Test.make ~name:"of_sorted = build" ~count:300
+    QCheck.(
+      triple (int_range 1 80) (int_bound 6)
+        (make
+           ~print:Print.(array int)
+           Gen.(
+             int_range 1 500 >>= fun range ->
+             array_size (int_bound 300) (int_bound range))))
+    (fun (buckets, pad, values) -> of_sorted_matches_build ~buckets ~pad values)
+
 (* -- schema / check -------------------------------------------------------------- *)
 
 let schema =
@@ -637,6 +671,173 @@ let test_stats_generation_fence () =
   Database.analyze db;
   Alcotest.(check bool) "analyze bumps" true (Database.stats_generation db "t" > g1)
 
+(* -- incremental statistics ------------------------------------------------------- *)
+
+module Sorted_column = Cddpd_engine.Sorted_column
+module Reference = Cddpd_reference.Reference
+
+let sorted_column_patch_prop =
+  QCheck.Test.make ~name:"patch = sort of the new multiset" ~count:300
+    QCheck.(
+      triple
+        (list (int_bound 20))
+        (list (int_bound 20))
+        (list (int_bound 20)))
+    (fun (initial, removal_picks, added) ->
+      (* Remove a sub-multiset of [initial]: every pick that is still held. *)
+      let held = ref initial and removed = ref [] in
+      List.iter
+        (fun v ->
+          if List.mem v !held then begin
+            let rec drop = function
+              | [] -> []
+              | x :: rest -> if x = v then rest else x :: drop rest
+            in
+            held := drop !held;
+            removed := v :: !removed
+          end)
+        removal_picks;
+      let column = Sorted_column.of_unsorted (Array.of_list initial) in
+      Sorted_column.patch column ~removed:(Array.of_list !removed) ~added:(Array.of_list added);
+      Sorted_column.to_array column = Array.of_list (List.sort compare (!held @ added)))
+
+let test_sorted_column_rejects_missing () =
+  let column = Sorted_column.of_unsorted [| 1; 2 |] in
+  Alcotest.check_raises "not held" (Invalid_argument "Sorted_column.patch: removed value not held")
+    (fun () -> Sorted_column.patch column ~removed:[| 3 |] ~added:[||])
+
+(* A text column between the integers keeps column positions honest, and
+   two indexes give DML find phases that seek as well as scan. *)
+let stats_schema =
+  Schema.table "s"
+    [ ("a", Schema.Int_type); ("n", Schema.Text_type); ("b", Schema.Int_type); ("c", Schema.Int_type) ]
+
+let stats_fingerprints db =
+  ( Table_stats.fingerprint (Database.table_stats db "s"),
+    Table_stats.fingerprint (Reference.table_stats db "s") )
+
+type stats_op =
+  | Load of int * int  (** rows, value range *)
+  | Insert of int * int * int
+  | Delete of string  (** WHERE clause, "" for the whole table *)
+  | Update of string * int * string  (** column, value, WHERE clause *)
+  | Analyze
+  | Compare  (** production statistics against the reference collection *)
+
+let show_op = function
+  | Load (rows, range) -> Printf.sprintf "load %d rows < %d" rows range
+  | Insert (a, b, c) -> Printf.sprintf "insert (%d, %d, %d)" a b c
+  | Delete where -> "delete" ^ where
+  | Update (column, v, where) -> Printf.sprintf "update %s = %d%s" column v where
+  | Analyze -> "analyze"
+  | Compare -> "compare"
+
+let apply_op db rng = function
+  | Load (rows, range) ->
+      Database.load db ~table:"s"
+        (Array.init rows (fun i ->
+             [|
+               Tuple.Int (Rng.int rng range);
+               Tuple.Text (string_of_int i);
+               Tuple.Int (Rng.int rng range);
+               Tuple.Int (Rng.int rng 3);
+             |]))
+  | Insert (a, b, c) ->
+      ignore
+        (Database.execute_sql db (Printf.sprintf "INSERT INTO s VALUES (%d, 'x', %d, %d)" a b c))
+  | Delete where -> ignore (Database.execute_sql db ("DELETE FROM s" ^ where))
+  | Update (column, v, where) ->
+      ignore (Database.execute_sql db (Printf.sprintf "UPDATE s SET %s = %d%s" column v where))
+  | Analyze -> Database.analyze db
+  | Compare -> ()
+
+(* Values stay under 12 so duplicates dominate; "a = 99" matches nothing. *)
+let gen_where =
+  QCheck.Gen.(
+    frequency
+      [
+        (3, map (Printf.sprintf " WHERE a = %d") (int_bound 12));
+        (2, map (Printf.sprintf " WHERE b < %d") (int_bound 12));
+        (2, map2 (Printf.sprintf " WHERE b = %d AND c = %d") (int_bound 12) (int_bound 3));
+        (1, return " WHERE a = 99");
+        (1, return "");
+      ])
+
+let gen_op =
+  QCheck.Gen.(
+    frequency
+      [
+        (1, map2 (fun rows range -> Load (rows, range)) (int_range 0 60) (int_range 1 12));
+        (4, map3 (fun a b c -> Insert (a, b, c)) (int_bound 12) (int_bound 12) (int_bound 3));
+        (2, map (fun where -> Delete where) (map (fun w -> if w = "" then " WHERE c = 1" else w) gen_where));
+        ( 4,
+          map3
+            (fun column v where -> Update (column, v, where))
+            (oneofl [ "a"; "b"; "c" ]) (int_bound 12) gen_where );
+        (1, return (Delete ""));
+        (1, return Analyze);
+        (4, return Compare);
+      ])
+
+(* At every [Compare] step of a random load/DML/analyze sequence, and at its
+   end, the incrementally maintained statistics equal a from-scratch
+   collection bit for bit.  Between comparisons DML runs on stale
+   statistics, so patches pile up between refreshes.  An initial load, a
+   whole-table DELETE and INSERTs into the emptied table open every
+   sequence. *)
+let stats_incremental_prop =
+  QCheck.Test.make ~name:"incremental statistics = reference collection" ~count:60
+    (QCheck.make
+       ~print:QCheck.Print.(list (fun op -> show_op op))
+       QCheck.Gen.(list_size (int_range 1 40) gen_op))
+    (fun ops ->
+      let db = Database.create ~pool_capacity:64 [ stats_schema ] in
+      Database.build_index db (Index_def.make ~table:"s" ~columns:[ "a" ]);
+      Database.build_index db (Index_def.make ~table:"s" ~columns:[ "b"; "c" ]);
+      let rng = Rng.create 11 in
+      let prefix =
+        [
+          Load (80, 6); Compare; Update ("a", 3, " WHERE b = 2"); Compare; Delete ""; Compare;
+          Insert (1, 1, 1); Insert (1, 1, 1); Compare;
+        ]
+      in
+      List.for_all
+        (fun (i, op) ->
+          apply_op db rng op;
+          match op with
+          | Compare ->
+              let production, reference = stats_fingerprints db in
+              if not (String.equal production reference) then
+                QCheck.Test.fail_reportf "statistics diverged at step %d" i;
+              true
+          | Load _ | Insert _ | Delete _ | Update _ | Analyze -> true)
+        (List.mapi (fun i op -> (i, op)) (prefix @ ops @ [ Compare ])))
+
+(* Maintaining statistics is not a statement's EXEC: the same DML on the
+   same data measures the same logical I/O whether the statistics were
+   fresh, stale after a load (a first collection scans the heap), or stale
+   after earlier DML. *)
+let test_dml_io_ignores_stale_stats () =
+  let dml_io ~fresh ~after_insert sql =
+    let db, _ = make_db ~rows:2000 () in
+    Database.build_index db (index [ "a" ]);
+    if after_insert then begin
+      Database.analyze db;
+      ignore (Database.execute_sql db "INSERT INTO t VALUES (1, 2, 3, 4)")
+    end;
+    if fresh then ignore (Database.table_stats db "t");
+    (Database.execute_sql db sql).Database.logical_io
+  in
+  List.iter
+    (fun sql ->
+      let fresh = dml_io ~fresh:true ~after_insert:false sql in
+      Alcotest.(check int) (sql ^ ": stale after load") fresh
+        (dml_io ~fresh:false ~after_insert:false sql);
+      Alcotest.(check int) (sql ^ ": stale after DML")
+        (dml_io ~fresh:true ~after_insert:true sql)
+        (dml_io ~fresh:false ~after_insert:true sql))
+    [ "UPDATE t SET b = 7 WHERE a = 3"; "DELETE FROM t WHERE c = 5"; "UPDATE t SET a = 1 WHERE d < 4" ]
+
 (* Failure-injection-adjacent stress: a buffer pool far smaller than the
    working set forces eviction on every scan; answers must not change and
    physical reads must appear. *)
@@ -803,6 +1004,8 @@ let () =
           Alcotest.test_case "min/max" `Quick test_histogram_minmax;
           Alcotest.test_case "skew" `Quick test_histogram_skew;
           QCheck_alcotest.to_alcotest histogram_range_bounds_prop;
+          Alcotest.test_case "of_sorted edge cases" `Quick test_histogram_of_sorted_edges;
+          QCheck_alcotest.to_alcotest histogram_of_sorted_prop;
         ] );
       ( "schema+check",
         [
@@ -867,6 +1070,15 @@ let () =
             test_plan_memo_view_probe;
           Alcotest.test_case "stats generation fence" `Quick
             test_stats_generation_fence;
+        ] );
+      ( "statistics",
+        [
+          QCheck_alcotest.to_alcotest sorted_column_patch_prop;
+          Alcotest.test_case "patch rejects a missing value" `Quick
+            test_sorted_column_rejects_missing;
+          QCheck_alcotest.to_alcotest stats_incremental_prop;
+          Alcotest.test_case "DML I/O ignores stale statistics" `Quick
+            test_dml_io_ignores_stale_stats;
         ] );
       ( "stress",
         [ Alcotest.test_case "tiny buffer pool" `Quick test_tiny_pool_correctness ] );

@@ -329,8 +329,7 @@ let mixed_texts ~window =
 
 (* Serve [statements] (fed as text when [texts] is given) and check every
    window decision against the reference rebuild as it happens. *)
-let serve_checked ?texts cfg statements =
-  let db = make_db () in
+let serve_checked ?texts ?(db = make_db ()) cfg statements =
   let failures = ref [] in
   let on_window w =
     match Reference.reoptimize db cfg ~trace:statements w with
@@ -373,6 +372,40 @@ let test_serve_fast_path_matches_reference () =
       Alcotest.(check bool) "exact hits" true (s.Cddpd_sql.Template.exact_hits > 0);
       Alcotest.(check bool) "template hits" true
         (s.Cddpd_sql.Template.template_hits > 0)
+
+(* The paper's W1 with point SELECTs turned into UPDATEs, fed as text: every
+   UPDATE moves the statistics generation, so feed-time cost keys go stale
+   mid-window.  The served run must match the reference replay window by
+   window (exec I/O, drift, migration I/O), every decision must match the
+   rebuild, and the statistics patched through all those writes must equal
+   a fresh scan-and-sort collection of the served heap. *)
+let test_serve_with_writes_matches_reference () =
+  let window = 100 in
+  let statements =
+    Cddpd_workload.Spec.generate_flat
+      (Cddpd_workload.Workloads.w1 ~scale:0.1 ())
+      ~table:"t" ~value_range ~seed:5
+    |> Cddpd_workload.Dml_gen.blend ~update_fraction:0.05 ~value_range ~seed:5
+  in
+  let texts = Array.of_list (Cddpd_workload.Trace.to_lines statements) in
+  let writes =
+    Array.fold_left (fun n s -> if Ast.is_read_only s then n else n + 1) 0 statements
+  in
+  Alcotest.(check bool) "the trace writes" true (writes > 20);
+  let cfg = serve_config ~window () in
+  let db = make_db () in
+  let report, _ = serve_checked ~texts ~db cfg statements in
+  Alcotest.(check int) "every statement served" (Array.length texts) report.Server.statements;
+  Alcotest.(check bool) "the advisor deployed" true (report.Server.deployments > 0);
+  (match Reference.replay (make_db ()) cfg report texts with
+  | Ok r ->
+      Alcotest.(check int) "every window replayed"
+        (Array.length report.Server.windows)
+        (Array.length r.Reference.windows)
+  | Error e -> Alcotest.failf "replay disagrees: %s" e);
+  Alcotest.(check string) "patched statistics equal a fresh collection"
+    (Cddpd_engine.Table_stats.fingerprint (Reference.table_stats db "t"))
+    (Cddpd_engine.Table_stats.fingerprint (Database.table_stats db "t"))
 
 (* Statements that parse but fail semantic checking are rejected with a
    reason: nothing executes, nothing is counted, and serving goes on. *)
@@ -733,6 +766,8 @@ let () =
           Alcotest.test_case "config validation" `Quick test_serve_validates_config;
           Alcotest.test_case "fast path matches reference replay" `Quick
             test_serve_fast_path_matches_reference;
+          Alcotest.test_case "with writes matches reference replay" `Quick
+            test_serve_with_writes_matches_reference;
           Alcotest.test_case "rejects invalid statements" `Quick
             test_serve_rejects_invalid_statements;
         ] );
