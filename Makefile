@@ -9,6 +9,9 @@
 #                     regenerate lint-baseline.json after burning down
 #                     or adding audited waivers
 #   make bench-smoke  quick perf sanity
+#   make bench-digests
+#                     bench-smoke into _bench_digests/, then fail if any
+#                     digest differs from the tracked BENCH_*.json
 #   make serve-smoke  replay a canned trace through `cddpd serve --once`
 #                     and assert the cddpd-serve/1 JSON status, then check
 #                     that an invalid statement is skipped on stdin and
@@ -17,7 +20,7 @@
 DUNE ?= dune
 JOBS ?=
 
-.PHONY: all build check test lint lint-update-baseline bench-smoke bench serve-smoke clean
+.PHONY: all build check test lint lint-update-baseline bench-smoke bench-digests bench serve-smoke clean
 
 all: build
 
@@ -47,13 +50,32 @@ lint-update-baseline:
 	$(DUNE) build @check tools/lint/cddpd_lint.exe
 	$(DUNE) exec tools/lint/cddpd_lint.exe -- --root . --write-baseline lint-baseline.json
 
-# Quick perf sanity: micro-benchmarks + a timed Problem.build, writing
-# BENCH_micro.json for machine consumption.  Pass JOBS=1 to force the
-# sequential path.  The serve and ingest suites carry their own hard
-# gates: every window must match the reference oracle (lib/reference), and
-# stable-phase windows / ingest throughput must hit their reduction floors.
+# Quick perf sanity: every tracked suite at --quick scale, each writing
+# its BENCH_<suite>.json into the current directory (BENCH_micro.json is
+# untracked).  Pass JOBS=1 to force the sequential path.  The suites
+# carry their own hard gates: every serve window must match the reference
+# oracle (lib/reference), and stable-phase windows / ingest throughput
+# must hit their reduction floors.
+# micro goes last: see the suite table in bench/main.ml.
+BENCH_SUITES = solvers experiments configspace serve ingest micro
+
 bench-smoke:
-	$(DUNE) exec bench/main.exe -- --quick $(if $(JOBS),--jobs $(JOBS)) micro solvers experiments configspace serve ingest
+	$(DUNE) exec bench/main.exe -- --quick $(if $(JOBS),--jobs $(JOBS)) $(BENCH_SUITES)
+
+# bench-smoke without touching the tracked files: the suites write into
+# _bench_digests/, and every "digest" / "window_digest" field must equal
+# the tracked BENCH_*.json's, in order (adjacent repeats collapse, so an
+# experiments arm skipped for lack of cores does not count as a change).
+bench-digests:
+	$(DUNE) exec bench/main.exe -- --quick $(if $(JOBS),--jobs $(JOBS)) \
+	  --out-dir _bench_digests $(BENCH_SUITES)
+	@for f in BENCH_*.json; do \
+	  grep -oE '"(window_)?digest":"[^"]+"' $$f | uniq > _bench_digests/$$f.want; \
+	  grep -oE '"(window_)?digest":"[^"]+"' _bench_digests/$$f | uniq > _bench_digests/$$f.got; \
+	  diff _bench_digests/$$f.want _bench_digests/$$f.got \
+	    || { echo "bench-digests: $$f differs from the tracked digests"; exit 1; }; \
+	done
+	@echo "bench-digests: OK, every digest matches the tracked BENCH files"
 
 bench:
 	$(DUNE) exec bench/main.exe -- $(if $(JOBS),--jobs $(JOBS)) all
@@ -102,3 +124,4 @@ clean:
 	$(DUNE) clean
 	rm -f BENCH_micro.json BENCH_obs.json _serve_smoke_trace.sql _serve_smoke_status.json \
 	  _serve_smoke_bad.sql _serve_smoke_bad.out
+	rm -rf _bench_digests

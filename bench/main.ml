@@ -1,141 +1,144 @@
 (* Benchmark harness: regenerates every table and figure of the paper
-   (Voigt/Salem/Lehner, ICDE'08 workshops) and runs a Bechamel
-   micro-benchmark per artifact.
+   (Voigt/Salem/Lehner, ICDE'08 workshops) and runs the tracked perf
+   suites.
 
    Usage:
-     main.exe [table1] [table2] [figure3] [figure4] [ablation] [updates]
-              [views] [space] [micro]
-              [--rows N] [--value-range N] [--scale F] [--seed N]
-              [--readahead N] [--quick]
-              [--jobs N]
-              [--no-metrics] [--obs-out FILE] [--micro-out FILE]
-   With no experiment named, everything runs.  --quick shrinks the instance
+     main.exe [NAME | all]... [--rows N] [--value-range N] [--scale F]
+              [--seed N] [--readahead N] [--quick] [--jobs N] [--cell-jobs N]
+              [--no-metrics] [--out-dir DIR]
+   NAME is a paper artifact (table1 table2 figure3 figure4 ablation updates
+   views space) or a suite (solvers experiments configspace serve ingest
+   micro).  With no NAME, everything runs.  --quick shrinks the instance
    for a fast smoke run; --rows 2500000 --value-range 500000 approaches the
    paper's physical scale.  --jobs sets the Problem.build parallelism
    (docs/PERFORMANCE.md).
 
-   Observability: instrumentation (lib/obs) is enabled for the run unless
-   --no-metrics is given, and a JSON-lines metrics + span dump is written
-   to BENCH_obs.json (--obs-out overrides the path) so successive PRs can
-   compare perf trajectories.  The Bechamel micro-benchmarks always run
-   with instrumentation disabled so their timings stay comparable across
-   runs regardless of flags; when "micro" runs, a machine-readable summary
-   (per-micro ns/run plus the median Problem.build wall time) is written
-   to BENCH_micro.json (--micro-out overrides the path). *)
+   Each suite writes its BENCH_<suite>.json into --out-dir (default .).
+   Instrumentation (lib/obs) is enabled for the run unless --no-metrics is
+   given, and a JSON-lines metrics + span dump is written to
+   BENCH_obs.json in the same directory so successive PRs can compare perf
+   trajectories. *)
 
 module Setup = Cddpd_experiments.Setup
 module Session = Cddpd_experiments.Session
-module Table1 = Cddpd_experiments.Table1
-module Table2 = Cddpd_experiments.Table2
-module Figure3 = Cddpd_experiments.Figure3
-module Figure4 = Cddpd_experiments.Figure4
-module Ablation = Cddpd_experiments.Ablation
-module Updates = Cddpd_experiments.Updates
-module Views = Cddpd_experiments.Views
-module Space_bound = Cddpd_experiments.Space_bound
-module Solution = Cddpd_core.Solution
-module Optimizer = Cddpd_core.Optimizer
-module Simulator = Cddpd_core.Simulator
-module Config_space = Cddpd_core.Config_space
-module Problem = Cddpd_core.Problem
-module Merging = Cddpd_core.Merging
-module Staged_dag = Cddpd_graph.Staged_dag
-module Kaware = Cddpd_graph.Kaware
-module Ranking = Cddpd_graph.Ranking
-module Design = Cddpd_catalog.Design
-module Structure = Cddpd_catalog.Structure
-module Index_def = Cddpd_catalog.Index_def
-module Ast = Cddpd_sql.Ast
-module Mix = Cddpd_workload.Mix
-module Rng = Cddpd_util.Rng
-
 module Obs = Cddpd_obs
+module Parallel = Cddpd_util.Parallel
 
 type options = {
-  experiments : string list;
+  names : string list;
   config : Setup.config;
   metrics : bool;
-  obs_out : string;
-  micro_out : string;
-  solvers_out : string;
-  experiments_out : string;
-  configspace_out : string;
-  serve_out : string;
-  ingest_out : string;
+  out_dir : string;
   jobs : int option;
   cell_jobs : int option;
 }
 
-let all_experiments =
-  [ "table1"; "table2"; "figure3"; "figure4"; "ablation"; "updates"; "views";
-    "space"; "micro"; "solvers"; "experiments"; "configspace"; "serve";
-    "ingest" ]
+(* Paper artifacts: print to stdout, write nothing. *)
+let artifacts =
+  let module E = Cddpd_experiments in
+  let with_session print run session = print (run (Lazy.force session)) in
+  [
+    ("table1", "Table 1: Workload Query Mixes", fun _ -> E.Table1.print (E.Table1.run ()));
+    ( "table2",
+      "Table 2: Dynamic Workloads and Physical Designs",
+      with_session E.Table2.print E.Table2.run );
+    ("figure3", "Figure 3: Relative Execution Times", with_session E.Figure3.print E.Figure3.run);
+    ("figure4", "Figure 4: Optimizer Runtimes", with_session E.Figure4.print E.Figure4.run);
+    ("ablation", "Ablation: solver comparison", with_session E.Ablation.print E.Ablation.run);
+    ( "updates",
+      "Updates ablation: queries and updates",
+      with_session E.Updates.print E.Updates.run );
+    ("views", "Views: scheduling materialized views", with_session E.Views.print E.Views.run);
+    ( "space",
+      "Space bound: SIZE(C) <= b sweep",
+      with_session E.Space_bound.print E.Space_bound.run );
+  ]
+
+type suite = {
+  name : string;
+  banner : string;
+  file : string;
+  run : Setup.config -> Session.t Lazy.t -> Harness.json;
+}
+
+(* micro runs last: after Bechamel's Gc.compact calls, the OCaml 5.1
+   runtime lets a later suite that spawns domains (experiments) grow its
+   heap to gigabytes. *)
+let suites =
+  [
+    {
+      name = "solvers";
+      banner = "Solvers: constrained-solver scaling over large design spaces";
+      file = "BENCH_solvers.json";
+      run = (fun _ _ -> Solvers.run ());
+    };
+    {
+      name = "experiments";
+      banner = "Experiments: parallel cell runner + bulk load";
+      file = "BENCH_experiments.json";
+      run = (fun config _ -> Experiments.run config);
+    };
+    {
+      name = "configspace";
+      banner = "Configspace: design-space scaling pipeline";
+      file = "BENCH_configspace.json";
+      run = (fun _ _ -> Configspace.run ());
+    };
+    {
+      name = "serve";
+      banner = "Serve: incremental re-optimization across windows";
+      file = "BENCH_serve.json";
+      run = (fun _ _ -> Serve.run ());
+    };
+    {
+      name = "ingest";
+      banner = "Ingest: serve statement fast path";
+      file = "BENCH_ingest.json";
+      run = (fun _ _ -> Ingest.run ());
+    };
+    {
+      name = "micro";
+      banner = "Bechamel micro-benchmarks";
+      file = "BENCH_micro.json";
+      run = Micro.run;
+    };
+  ]
+
+let all_names =
+  List.map (fun (name, _, _) -> name) artifacts @ List.map (fun s -> s.name) suites
 
 let usage () =
   prerr_endline
-    "usage: main.exe \
-     [table1|table2|figure3|figure4|ablation|updates|views|space|micro|solvers|experiments|configspace|serve|ingest]... \
-     [--suite NAME] \
-     [--rows N] [--value-range N] [--scale F] [--seed N] [--readahead N] [--quick] \
-     [--jobs N] [--cell-jobs N] \
-     [--no-metrics] [--obs-out FILE] [--micro-out FILE] [--solvers-out FILE] \
-     [--experiments-out FILE] [--configspace-out FILE] [--serve-out FILE] \
-     [--ingest-out FILE]";
+    ("usage: main.exe [" ^ String.concat "|" all_names
+   ^ "|all]... [--rows N] [--value-range N] [--scale F] [--seed N] [--readahead N] \
+      [--quick] [--jobs N] [--cell-jobs N] [--no-metrics] [--out-dir DIR]");
   exit 2
 
 let parse_args () =
-  let experiments = ref [] in
+  let names = ref [] in
   let config = ref Setup.default_config in
   let metrics = ref true in
-  let obs_out = ref "BENCH_obs.json" in
-  let micro_out = ref "BENCH_micro.json" in
-  let solvers_out = ref "BENCH_solvers.json" in
-  let experiments_out = ref "BENCH_experiments.json" in
-  let configspace_out = ref "BENCH_configspace.json" in
-  let serve_out = ref "BENCH_serve.json" in
-  let ingest_out = ref "BENCH_ingest.json" in
+  let out_dir = ref "." in
   let jobs = ref None in
   let cell_jobs = ref None in
-  let rec go args =
-    match args with
+  let positive v =
+    let j = int_of_string v in
+    if j < 1 then usage ();
+    j
+  in
+  let rec go = function
     | [] -> ()
     | "--no-metrics" :: rest ->
         metrics := false;
         go rest
-    | "--obs-out" :: v :: rest ->
-        obs_out := v;
-        go rest
-    | "--micro-out" :: v :: rest ->
-        micro_out := v;
-        go rest
-    | "--solvers-out" :: v :: rest ->
-        solvers_out := v;
-        go rest
-    | "--experiments-out" :: v :: rest ->
-        experiments_out := v;
-        go rest
-    | "--configspace-out" :: v :: rest ->
-        configspace_out := v;
-        go rest
-    | "--serve-out" :: v :: rest ->
-        serve_out := v;
-        go rest
-    | "--ingest-out" :: v :: rest ->
-        ingest_out := v;
-        go rest
-    | "--cell-jobs" :: v :: rest ->
-        let j = int_of_string v in
-        if j < 1 then usage ();
-        cell_jobs := Some j;
-        go rest
-    | "--suite" :: v :: rest ->
-        if not (List.mem v all_experiments) then usage ();
-        experiments := v :: !experiments;
+    | "--out-dir" :: v :: rest ->
+        out_dir := v;
         go rest
     | "--jobs" :: v :: rest ->
-        let j = int_of_string v in
-        if j < 1 then usage ();
-        jobs := Some j;
+        jobs := Some (positive v);
+        go rest
+    | "--cell-jobs" :: v :: rest ->
+        cell_jobs := Some (positive v);
         go rest
     | "--rows" :: v :: rest ->
         config := { !config with Setup.rows = int_of_string v };
@@ -155,1990 +158,71 @@ let parse_args () =
         config := { !config with Setup.readahead = r };
         go rest
     | "--quick" :: rest ->
-        config :=
-          { !config with Setup.rows = 20_000; value_range = 4_000; scale = 0.2 };
+        config := { !config with Setup.rows = 20_000; value_range = 4_000; scale = 0.2 };
         go rest
     | "all" :: rest ->
-        experiments := List.rev_append all_experiments !experiments;
+        names := List.rev_append all_names !names;
         go rest
     | name :: rest ->
-        if List.mem name all_experiments then experiments := name :: !experiments
-        else usage ();
+        if List.mem name all_names then names := name :: !names else usage ();
         go rest
   in
-  (try go (List.tl (Array.to_list Sys.argv)) with
-  | Failure _ | Invalid_argument _ -> usage ());
-  let experiments =
-    match List.rev !experiments with [] -> all_experiments | list -> list
-  in
+  (try go (List.tl (Array.to_list Sys.argv)) with Failure _ | Invalid_argument _ -> usage ());
   {
-    experiments;
+    names = (match List.rev !names with [] -> all_names | names -> names);
     config = !config;
     metrics = !metrics;
-    obs_out = !obs_out;
-    micro_out = !micro_out;
-    solvers_out = !solvers_out;
-    experiments_out = !experiments_out;
-    configspace_out = !configspace_out;
-    serve_out = !serve_out;
-    ingest_out = !ingest_out;
+    out_dir = !out_dir;
     jobs = !jobs;
     cell_jobs = !cell_jobs;
   }
 
-let banner title =
-  Printf.printf "\n==== %s ====\n\n%!" title
-
-(* -- Bechamel micro-benchmarks: one Test.make per table/figure ----------- *)
-
-let micro (session : Session.t) =
-  (* Timings must be comparable run-to-run and with pre-observability
-     baselines: measure the uninstrumented path. *)
-  let was_enabled = Obs.Registry.enabled () in
-  Obs.Registry.disable ();
-  Fun.protect
-    ~finally:(fun () -> if was_enabled then Obs.Registry.enable ())
-  @@ fun () ->
-  let open Bechamel in
-  let problem = session.Session.problem_w1 in
-  let solve method_name k () =
-    match Optimizer.solve problem ~method_name ?k () with
-    | Ok _ -> ()
-    | Error _ -> failwith "micro: solver failed"
-  in
-  (* A one-segment replay instance for the Figure 3 micro-bench: replaying
-     the full workload per sample would take minutes. *)
-  let segment = session.Session.steps_w1.(0) in
-  let schedule =
-    match Optimizer.solve problem ~method_name:Solution.Kaware ~k:2 () with
-    | Ok s -> Solution.schedule problem s
-    | Error _ -> failwith "micro: kaware failed"
-  in
-  let replay_segment () =
-    ignore
-      (Simulator.run session.Session.db ~steps:[| segment |]
-         ~schedule:[| schedule.(0) |])
-  in
-  let sample_mix =
-    let rng = Rng.create 99 in
-    fun () ->
-      for _ = 1 to 100 do
-        ignore (Mix.sample_query Mix.mix_a ~table:"t" ~value_range:1000 rng)
-      done
-  in
-  (* SQL front-end micros: the lexer's scratch-buffer/int fast paths and
-     the template cache, over a pool of texts shaped like serve traffic. *)
-  let sql_pool =
-    Array.init 64 (fun i ->
-        Printf.sprintf
-          "SELECT a, b FROM t WHERE a = %d AND c BETWEEN %d AND %d AND d = 'v%d'"
-          (1 + (i * 1_031 mod 50_000))
-          (1 + (i * 157 mod 50_000))
-          (41 + (i * 157 mod 50_000))
-          (i mod 7))
-  in
-  let tokenize_pool () =
-    Array.iter (fun s -> ignore (Cddpd_sql.Lexer.tokenize s)) sql_pool
-  in
-  let parse_pool () =
-    Array.iter
-      (fun s ->
-        match Cddpd_sql.Parser.parse s with
-        | Ok _ -> ()
-        | Error _ -> failwith "micro: parse failed")
-      sql_pool
-  in
-  let parse_cached_pool =
-    let cache = Cddpd_sql.Template.create () in
-    fun () ->
-      Array.iter
-        (fun s ->
-          match Cddpd_sql.Parser.parse_cached cache s with
-          | Ok _ -> ()
-          | Error _ -> failwith "micro: parse_cached failed")
-        sql_pool
-  in
-  let tests =
-    Test.make_grouped ~name:"cddpd"
-      [
-        Test.make ~name:"sql/tokenize-64" (Staged.stage tokenize_pool);
-        Test.make ~name:"sql/parse-64" (Staged.stage parse_pool);
-        Test.make ~name:"sql/parse-cached-64" (Staged.stage parse_cached_pool);
-        Test.make ~name:"table1/mix-sample-100" (Staged.stage sample_mix);
-        Test.make ~name:"table2/unconstrained"
-          (Staged.stage (solve Solution.Unconstrained None));
-        Test.make ~name:"table2/kaware-k2" (Staged.stage (solve Solution.Kaware (Some 2)));
-        Test.make ~name:"figure3/replay-1-segment" (Staged.stage replay_segment);
-        Test.make ~name:"figure4/kaware-k18" (Staged.stage (solve Solution.Kaware (Some 18)));
-        Test.make ~name:"figure4/merging-k2" (Staged.stage (solve Solution.Merging (Some 2)));
-        Test.make ~name:"ablation/greedy-seq-k2"
-          (Staged.stage (solve Solution.Greedy_seq (Some 2)));
-        Test.make ~name:"ablation/hybrid-k10" (Staged.stage (solve Solution.Hybrid (Some 10)));
-        Test.make ~name:"updates/blend-1-segment"
-          (Staged.stage (fun () ->
-               ignore
-                 (Cddpd_workload.Dml_gen.blend ~update_fraction:0.3
-                    ~value_range:session.Session.config.Setup.value_range ~seed:5
-                    session.Session.steps_w1.(0))));
-        Test.make ~name:"views/maintain-100-inserts"
-          (Staged.stage
-             (let schema = Setup.schema in
-              let pool =
-                Cddpd_storage.Buffer_pool.create ~capacity:512
-                  (Cddpd_storage.Disk.create ())
-              in
-              let heap = Cddpd_storage.Heap_file.create pool in
-              let rng = Rng.create 3 in
-              for _ = 1 to 2000 do
-                ignore
-                  (Cddpd_storage.Heap_file.insert heap
-                     (Array.init 4 (fun _ -> Cddpd_storage.Tuple.Int (Rng.int rng 50))))
-              done;
-              let view =
-                Cddpd_engine.Mat_view.build pool schema heap
-                  (Cddpd_catalog.View_def.make ~table:"t" ~group_by:"a")
-              in
-              fun () ->
-                for _ = 1 to 100 do
-                  Cddpd_engine.Mat_view.apply_insert view
-                    (Array.init 4 (fun _ -> Cddpd_storage.Tuple.Int (Rng.int rng 50)))
-                done));
-      ]
-  in
-  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:None () in
-  let raw = Benchmark.all cfg [ Toolkit.Instance.monotonic_clock ] tests in
-  let ols =
-    Analyze.ols ~r_square:true ~bootstrap:0 ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
-  let rows =
-    Hashtbl.fold
-      (fun name ols acc ->
-        let ns =
-          match Analyze.OLS.estimates ols with
-          | Some (est :: _) -> est
-          | Some [] | None -> nan
-        in
-        (name, ns) :: acc)
-      results []
-    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-  in
-  let table =
-    Cddpd_util.Text_table.create
-      [ ("micro-benchmark", Cddpd_util.Text_table.Left); ("ns/run", Cddpd_util.Text_table.Right) ]
-  in
-  List.iter
-    (fun (name, ns) ->
-      Cddpd_util.Text_table.add_row table [ name; Printf.sprintf "%.0f" ns ])
-    rows;
-  Cddpd_util.Text_table.print table;
-  rows
-
-(* -- machine-readable micro summary (BENCH_micro.json) -------------------- *)
-
-(* Median wall-clock of several Problem.build runs under the session's
-   workload and the current --jobs knob: the headline number of the perf
-   trajectory. *)
-let problem_build_runs = 3
-
-let time_problem_build (session : Session.t) =
-  let times =
-    Array.init problem_build_runs (fun _ ->
-        let t0 = Unix.gettimeofday () in
-        ignore (Setup.build_problem session.Session.db ~steps:session.Session.steps_w1);
-        Unix.gettimeofday () -. t0)
-  in
-  Array.sort Float.compare times;
-  times.(problem_build_runs / 2)
-
-let json_escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' | '\\' -> Buffer.add_char buf '\\'; Buffer.add_char buf c
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let json_float f = if Float.is_finite f then Printf.sprintf "%.3f" f else "null"
-
-(* Solver timings sit in the sub-millisecond range at small n; keep enough
-   digits for the ratios to stay meaningful. *)
-let json_float6 f = if Float.is_finite f then Printf.sprintf "%.6f" f else "null"
-
-let write_micro_json path ~(options : options) ~build_s rows =
-  let oc = open_out path in
-  let jobs =
-    match options.jobs with Some j -> j | None -> Cddpd_util.Parallel.default_jobs ()
-  in
-  Printf.fprintf oc
-    "{\"schema\":\"cddpd-bench-micro/1\",\"rows\":%d,\"value_range\":%d,\
-     \"scale\":%.3f,\"seed\":%d,\"jobs\":%d,\"cores\":%d,\
-     \"problem_build\":{\"runs\":%d,\"median_s\":%s},\"micro\":["
-    options.config.Setup.rows options.config.Setup.value_range
-    options.config.Setup.scale options.config.Setup.seed jobs
-    (Cddpd_util.Parallel.ncpu ())
-    problem_build_runs (json_float build_s);
-  List.iteri
-    (fun i (name, ns) ->
-      Printf.fprintf oc "%s{\"name\":\"%s\",\"ns_per_run\":%s}"
-        (if i = 0 then "" else ",")
-        (json_escape name) (json_float ns))
-    rows;
-  output_string oc "]}\n";
-  close_out oc
-
-(* -- solvers suite: constrained solvers over large design spaces ---------- *)
-
-(* Synthetic instances spanning four design-space sizes, built through the
-   real Config_space/Problem machinery: n = 7 is the paper's space (empty
-   design + one singleton per candidate), n = 64/256/1024 are the full
-   power sets of 6/8/10 candidate indexes.  Costs are a deterministic
-   phased workload — each phase has one hot index that cuts execution
-   cost, every carried structure adds maintenance overhead, and
-   transitions pay per structure built — so the unconstrained optimum
-   switches with the phases and the merging heuristic lands close enough
-   to the constrained optimum to make a useful branch-and-bound seed.
-   Nothing is random: reruns time the same instance. *)
-
-let solvers_stages = 12
-let solvers_phase_len = 4
-let solvers_runs = 5
-let solvers_ks = [ 1; 2; 3 ]
-let solvers_ranking_max_n = 64
-let solvers_ranking_max_queue = 262_144
-
-let solvers_candidates m =
-  List.init m (fun i ->
-      Structure.index (Index_def.make ~table:"t" ~columns:[ Printf.sprintf "c%d" i ]))
-
-let solvers_space ~candidates ~max_structures =
-  Config_space.enumerate ~candidates ?max_structures ~size_of:(fun _ -> 1) ()
-
-let solvers_problem ~candidates space =
-  let n = Config_space.size space in
-  let designs = Config_space.designs space in
-  let m = List.length candidates in
-  let hot = Array.of_list candidates in
-  let exec =
-    Array.init solvers_stages (fun s ->
-        let hot = hot.((s / solvers_phase_len) mod m) in
-        Array.init n (fun c ->
-            let design = designs.(c) in
-            let base = if Design.mem_structure hot design then 40.0 else 100.0 in
-            let overhead = 4.0 *. float_of_int (Design.cardinality design) in
-            (* Tie-breaking noise, injective over configs at every stage
-               (odd multiplier mod 2^10 permutes config ids): exact cost
-               ties would keep whole families of equivalent states alive
-               under the bound pruner and hide its effect.  Dyadic values,
-               so the arithmetic stays exact. *)
-            let jitter =
-              float_of_int (((c * 2654435761) + (s * 97)) land 1023) *. 0.0078125
-            in
-            base +. overhead +. jitter))
-  in
-  let trans =
-    Array.init n (fun i ->
-        Array.init n (fun j ->
-            if i = j then 0.0
-            else
-              let added =
-                Design.fold
-                  (fun st acc ->
-                    if Design.mem_structure st designs.(i) then acc else acc + 1)
-                  designs.(j) 0
-              in
-              15.0 *. float_of_int added))
-  in
-  let steps =
-    Array.make solvers_stages
-      [| Ast.Select { Ast.projection = Ast.Star; table = "t"; where = [] } |]
-  in
-  Problem.of_matrices ~steps ~space
-    ~initial:(Config_space.id_of_exn space Design.empty)
-    ~exec ~trans ()
-
-type solvers_ranking_outcome =
-  | Rk_found of { rank : int; queue_peak : int }
-  | Rk_gave_up of { reason : string; examined : int; queue_peak : int }
-
-type solvers_entry = {
-  sv_n : int;
-  sv_k : int;
-  sv_baseline_s : float;
-  sv_pruned_s : float;
-  sv_states_pruned : int;
-  sv_states_alive : int;
-  sv_ranking : (float * solvers_ranking_outcome) option;
-}
-
-let median_of times =
-  let times = Array.copy times in
-  Array.sort Float.compare times;
-  times.(Array.length times / 2)
-
-let time_runs f =
-  median_of
-    (Array.init solvers_runs (fun _ ->
-         let t0 = Unix.gettimeofday () in
-         ignore (Sys.opaque_identity (f ()));
-         Unix.gettimeofday () -. t0))
-
-(* One instrumented (untimed) run bracketed by snapshots; the timed runs
-   stay uninstrumented so the accounting pass can't pollute them. *)
-let with_counters f =
-  Obs.Registry.enable ();
-  let before = Obs.Snapshot.capture () in
-  ignore (Sys.opaque_identity (f ()));
-  let delta = Obs.Snapshot.diff ~before ~after:(Obs.Snapshot.capture ()) in
-  Obs.Registry.disable ();
-  delta
-
-let snapshot_counter delta name =
-  Option.value ~default:0 (Obs.Snapshot.counter_value delta name)
-
-let solvers_suite () =
-  let was_enabled = Obs.Registry.enabled () in
-  Obs.Registry.disable ();
-  Fun.protect
-    ~finally:(fun () -> if was_enabled then Obs.Registry.enable ())
-  @@ fun () ->
-  let spaces =
-    [
-      (solvers_candidates 6, Some 1);  (* n = 7: the paper's space *)
-      (solvers_candidates 6, None);  (* n = 64 *)
-      (solvers_candidates 8, None);  (* n = 256 *)
-      (solvers_candidates 10, None);  (* n = 1024 *)
-    ]
-  in
-  let table =
-    Cddpd_util.Text_table.create
-      [
-        ("n", Cddpd_util.Text_table.Right);
-        ("k", Cddpd_util.Text_table.Right);
-        ("baseline ms", Cddpd_util.Text_table.Right);
-        ("pruned ms", Cddpd_util.Text_table.Right);
-        ("speedup", Cddpd_util.Text_table.Right);
-        ("states pruned", Cddpd_util.Text_table.Right);
-        ("ranking ms", Cddpd_util.Text_table.Right);
-        ("rank", Cddpd_util.Text_table.Right);
-        ("queue peak", Cddpd_util.Text_table.Right);
-      ]
-  in
-  let entries =
-    List.concat_map
-      (fun (candidates, max_structures) ->
-        let space = solvers_space ~candidates ~max_structures in
-        let problem = solvers_problem ~candidates space in
-        let n = Config_space.size space in
-        let graph = Problem.to_graph problem in
-        let initial = Problem.initial_for_counting problem in
-        let _, unconstrained_path = Staged_dag.shortest_path graph in
-        List.map
-          (fun k ->
-            (* The bound is a byproduct of the Merging heuristic, which the
-               advisor pipeline computes anyway, so the timed region covers
-               exactly the [Kaware.solve] call the acceptance criterion
-               names. *)
-            let ub = Staged_dag.path_cost graph (Merging.refine problem ~k unconstrained_path) in
-            let upper_bound () = ub in
-            let baseline_s =
-              time_runs (fun () -> Kaware.solve ~jobs:1 graph ~k ~initial)
-            in
-            let pruned_s =
-              time_runs (fun () ->
-                  Kaware.solve ~jobs:1 ~upper_bound:ub graph ~k ~initial)
-            in
-            (* Exactness cross-check at bench time: pruning must not move
-               the optimum. *)
-            (match
-               ( Kaware.solve ~jobs:1 graph ~k ~initial,
-                 Kaware.solve ~jobs:1 ~upper_bound:(upper_bound ()) graph ~k ~initial )
-             with
-            | Some (c0, p0), Some (c1, p1) ->
-                if not (Int64.equal (Int64.bits_of_float c0) (Int64.bits_of_float c1) && p0 = p1)
-                then failwith (Printf.sprintf "solvers: pruned result differs at n=%d k=%d" n k)
-            | _ -> failwith "solvers: kaware returned no path");
-            let delta =
-              with_counters (fun () ->
-                  Kaware.solve ~jobs:1 ~upper_bound:(upper_bound ()) graph ~k ~initial)
-            in
-            let states_pruned = snapshot_counter delta "advisor.kaware.states_pruned" in
-            let states_alive = snapshot_counter delta "advisor.kaware.nodes_expanded" in
-            let ranking =
-              if n > solvers_ranking_max_n then None
-              else begin
-                let run () =
-                  Ranking.solve_constrained graph ~k ~initial
-                    ~upper_bound:(upper_bound ())
-                    ~max_queue:solvers_ranking_max_queue ()
-                in
-                let ranking_s = time_runs run in
-                (* Even a give-up is a datapoint: the budgets turn the
-                   paper's worst case (rank explosion at small k) into a
-                   bounded, reported failure instead of an OOM. *)
-                let delta = with_counters run in
-                let obs_peak =
-                  (* The histogram gets exactly one observation per solve,
-                     so the delta's sum is this run's peak (percentiles
-                     don't diff across snapshots). *)
-                  match Obs.Snapshot.find delta "advisor.ranking.queue_peak" with
-                  | Some (Obs.Snapshot.Dist d) -> int_of_float d.Obs.Snapshot.sum
-                  | Some (Obs.Snapshot.Count _) | None -> 0
-                in
-                let outcome =
-                  match run () with
-                  | `Found (_, _, rank) -> Rk_found { rank; queue_peak = obs_peak }
-                  | `Gave_up g ->
-                      Rk_gave_up
-                        {
-                          reason = Ranking.reason_to_string g.Ranking.reason;
-                          examined = g.Ranking.examined;
-                          queue_peak = g.Ranking.queue_peak;
-                        }
-                in
-                Some (ranking_s, outcome)
-              end
-            in
-            let row_opt f o = match o with Some v -> f v | None -> "-" in
-            Cddpd_util.Text_table.add_row table
-              [
-                string_of_int n;
-                string_of_int k;
-                Printf.sprintf "%.2f" (baseline_s *. 1e3);
-                Printf.sprintf "%.2f" (pruned_s *. 1e3);
-                Printf.sprintf "%.1fx" (baseline_s /. pruned_s);
-                string_of_int states_pruned;
-                row_opt (fun (s, _) -> Printf.sprintf "%.2f" (s *. 1e3)) ranking;
-                row_opt
-                  (fun (_, o) ->
-                    match o with
-                    | Rk_found { rank; _ } -> string_of_int rank
-                    | Rk_gave_up { reason; _ } -> reason)
-                  ranking;
-                row_opt
-                  (fun (_, o) ->
-                    match o with
-                    | Rk_found { queue_peak; _ } | Rk_gave_up { queue_peak; _ } ->
-                        string_of_int queue_peak)
-                  ranking;
-              ];
-            {
-              sv_n = n;
-              sv_k = k;
-              sv_baseline_s = baseline_s;
-              sv_pruned_s = pruned_s;
-              sv_states_pruned = states_pruned;
-              sv_states_alive = states_alive;
-              sv_ranking = ranking;
-            })
-          solvers_ks)
-      spaces
-  in
-  Cddpd_util.Text_table.print table;
-  entries
-
-(* Timings in the JSON are medians of [solvers_runs]; speedups are the
-   ratio of medians.  The file is tracked in git as the scaling baseline —
-   refresh it with `make bench-smoke` (docs/PERFORMANCE.md). *)
-let write_solvers_json path entries =
-  let oc = open_out path in
-  Printf.fprintf oc
-    "{\"schema\":\"cddpd-bench-solvers/1\",\"stages\":%d,\"phase_len\":%d,\
-     \"runs\":%d,\"cores\":%d,\"entries\":["
-    solvers_stages solvers_phase_len solvers_runs (Cddpd_util.Parallel.ncpu ());
-  List.iteri
-    (fun i e ->
-      Printf.fprintf oc
-        "%s{\"n\":%d,\"k\":%d,\"kaware_baseline_s\":%s,\"kaware_pruned_s\":%s,\
-         \"speedup\":%s,\"states_pruned\":%d,\"states_alive\":%d,\"ranking\":%s}"
-        (if i = 0 then "" else ",")
-        e.sv_n e.sv_k
-        (json_float6 e.sv_baseline_s)
-        (json_float6 e.sv_pruned_s)
-        (json_float (e.sv_baseline_s /. e.sv_pruned_s))
-        e.sv_states_pruned e.sv_states_alive
-        (match e.sv_ranking with
-        | None -> "null"
-        | Some (s, Rk_found { rank; queue_peak }) ->
-            Printf.sprintf
-              "{\"outcome\":\"found\",\"median_s\":%s,\"rank\":%d,\"queue_peak\":%d}"
-              (json_float6 s) rank queue_peak
-        | Some (s, Rk_gave_up { reason; examined; queue_peak }) ->
-            Printf.sprintf
-              "{\"outcome\":\"gave_up\",\"reason\":\"%s\",\"median_s\":%s,\
-               \"examined\":%d,\"queue_peak\":%d}"
-              (json_escape reason) (json_float6 s) examined queue_peak))
-    entries;
-  output_string oc "]}\n";
-  close_out oc
-
-(* -- experiments suite: parallel cell runner + scan-optimized storage ----- *)
-
-(* A reduced figure3+figure4 sweep (the two paper artifacts dominated by,
-   respectively, engine replay I/O and solver runtime), run through the
-   parallel cell runner under every arm of {cell_jobs} x {readahead
-   on/off}.  Each arm reports the median of [experiments_runs] wall
-   times plus a digest of every deterministic output field; the digests
-   must agree across all arms — that is the bit-identity claim of the
-   cell runner and the logical-I/O-invariance claim of readahead, checked
-   at bench time on every run. *)
-
-let experiments_runs = 3
-let experiments_cell_jobs = [ 1; 2 ]
-let experiments_ks = [ 2; 6; 10 ]
-let experiments_repeats = 2
-let experiments_bulk_rows = 100_000
-
-let experiments_reduced (config : Setup.config) =
-  {
-    config with
-    Setup.rows = min config.Setup.rows 10_000;
-    value_range = min config.Setup.value_range 2_000;
-    scale = Float.min config.Setup.scale 0.1;
-  }
-
-(* %h prints the exact hex representation, so the digest is bit-precise. *)
-let figure3_digest (r : Figure3.result) =
-  String.concat ";"
-    (Printf.sprintf "base=%d" r.Figure3.baseline_io
-    :: List.map
-         (fun m ->
-           Printf.sprintf "%s:%d:%d:%h:%h" m.Figure3.workload
-             m.Figure3.unconstrained_io m.Figure3.constrained_io
-             m.Figure3.relative_unconstrained m.Figure3.relative_constrained)
-         r.Figure3.measurements)
-
-let figure4_cost_digest (r : Figure4.result) =
-  String.concat ";"
-    (Printf.sprintf "uc=%h" r.Figure4.unconstrained_cost
-    :: List.map
-         (fun p ->
-           Printf.sprintf "k%d:%h:%h" p.Figure4.k p.Figure4.kaware_cost
-             p.Figure4.merging_cost)
-         r.Figure4.points)
-
-type sweep_arm = {
-  ex_readahead : int;
-  ex_cell_jobs : int;
-  ex_median_s : float;  (** [nan] when the arm was skipped *)
-  ex_digest : string;  (** MD5 over the deterministic output fields *)
-  ex_skipped : bool;
-      (** true when [ex_cell_jobs] exceeds the machine's cores: a
-          multi-domain arm on that box measures scheduler thrash, not
-          parallel speedup, so it is recorded as skipped instead of run *)
-}
-
-let experiments_sweep (config : Setup.config) =
-  let cores = Cddpd_util.Parallel.ncpu () in
-  List.concat_map
-    (fun readahead ->
-      let config = { config with Setup.readahead } in
-      let t0 = Unix.gettimeofday () in
-      let session = Session.create config in
-      Printf.printf "(session readahead=%d loaded in %.1fs)\n%!" readahead
-        (Unix.gettimeofday () -. t0);
-      List.map
-        (fun cell_jobs ->
-          if cell_jobs > cores then begin
-            Printf.printf
-              "(skipping cell_jobs=%d arm: %d core%s available)\n%!" cell_jobs
-              cores
-              (if cores = 1 then "" else "s");
-            {
-              ex_readahead = readahead;
-              ex_cell_jobs = cell_jobs;
-              ex_median_s = nan;
-              ex_digest = "";
-              ex_skipped = true;
-            }
-          end
-          else begin
-            let digest = ref "" in
-            let times =
-              Array.init experiments_runs (fun _ ->
-                  let t0 = Unix.gettimeofday () in
-                  let f3 = Figure3.run_cells ~cell_jobs session in
-                  let f4 =
-                    Figure4.run_cells ~ks:experiments_ks
-                      ~repeats:experiments_repeats ~cell_jobs session
-                  in
-                  let elapsed = Unix.gettimeofday () -. t0 in
-                  digest :=
-                    Digest.to_hex
-                      (Digest.string
-                         (figure3_digest f3 ^ "|" ^ figure4_cost_digest f4));
-                  elapsed)
-            in
-            {
-              ex_readahead = readahead;
-              ex_cell_jobs = cell_jobs;
-              ex_median_s = median_of times;
-              ex_digest = !digest;
-              ex_skipped = false;
-            }
-          end)
-        experiments_cell_jobs)
-    [ Cddpd_storage.Buffer_pool.default_readahead; 0 ]
-
-(* Bulk load vs row-at-a-time load of the same batch into a table with two
-   prebuilt indexes; the loaded states must answer queries identically. *)
-type bulk_result = {
-  bk_bulk_s : float;
-  bk_row_s : float;
-  bk_output_equal : bool;
-}
-
-let experiments_bulk () =
-  let rng = Rng.create 42 in
-  let data =
-    Array.init experiments_bulk_rows (fun _ ->
-        Array.init 4 (fun _ -> Cddpd_storage.Tuple.Int (Rng.int rng 5_000)))
-  in
-  let index columns = Index_def.make ~table:"t" ~columns in
-  let load bulk =
-    let db = Cddpd_engine.Database.create ~pool_capacity:8192 [ Setup.schema ] in
-    Cddpd_engine.Database.build_index db (index [ "a" ]);
-    Cddpd_engine.Database.build_index db (index [ "a"; "b" ]);
-    let t0 = Unix.gettimeofday () in
-    Cddpd_engine.Database.load ~bulk db ~table:"t" data;
-    (Unix.gettimeofday () -. t0, db)
-  in
-  let time_mode bulk =
-    let last_db = ref None in
-    let times =
-      Array.init experiments_runs (fun _ ->
-          let s, db = load bulk in
-          last_db := Some db;
-          s)
-    in
-    (median_of times, Option.get !last_db)
-  in
-  let bk_bulk_s, db_bulk = time_mode true in
-  let bk_row_s, db_row = time_mode false in
-  let probe db sql =
-    let r = Cddpd_engine.Database.execute_sql db sql in
-    List.sort compare r.Cddpd_engine.Database.rows
-  in
-  let bk_output_equal =
-    List.for_all
-      (fun sql -> probe db_bulk sql = probe db_row sql)
-      [
-        "SELECT a, b FROM t WHERE a = 7";
-        "SELECT a FROM t WHERE a BETWEEN 100 AND 120";
-        "SELECT a, COUNT(*) FROM t GROUP BY a";
-      ]
-    && Cddpd_engine.Database.row_count db_bulk "t"
-       = Cddpd_engine.Database.row_count db_row "t"
-  in
-  { bk_bulk_s; bk_row_s; bk_output_equal }
-
-let write_experiments_json path ~(config : Setup.config) arms bulk =
-  let ran = List.filter (fun a -> not a.ex_skipped) arms in
-  let digests_identical =
-    match ran with
-    | first :: rest ->
-        List.for_all (fun a -> String.equal a.ex_digest first.ex_digest) rest
-    | [] -> true
-  in
-  let speedup =
-    let find jobs =
-      List.find_opt
-        (fun a ->
-          a.ex_cell_jobs = jobs
-          && a.ex_readahead = Cddpd_storage.Buffer_pool.default_readahead
-          && not a.ex_skipped)
-        arms
-    in
-    match (find 1, find 2) with
-    | Some seq, Some par -> seq.ex_median_s /. par.ex_median_s
-    | _ -> nan (* serialised as null: no honest multi-core measurement *)
-  in
-  let oc = open_out path in
-  Printf.fprintf oc
-    "{\"schema\":\"cddpd-bench-experiments/1\",\"rows\":%d,\"value_range\":%d,\
-     \"scale\":%.3f,\"seed\":%d,\"runs\":%d,\"cores\":%d,\
-     \"figure4_ks\":[%s],\"figure4_repeats\":%d,\"sweep\":["
-    config.Setup.rows config.Setup.value_range config.Setup.scale
-    config.Setup.seed experiments_runs
-    (Cddpd_util.Parallel.ncpu ())
-    (String.concat "," (List.map string_of_int experiments_ks))
-    experiments_repeats;
-  List.iteri
-    (fun i a ->
-      Printf.fprintf oc
-        "%s{\"readahead\":%d,\"cell_jobs\":%d,\"median_s\":%s,\"digest\":\"%s\",\
-         \"status\":\"%s\"}"
-        (if i = 0 then "" else ",")
-        a.ex_readahead a.ex_cell_jobs (json_float6 a.ex_median_s) a.ex_digest
-        (if a.ex_skipped then "skipped_more_jobs_than_cores" else "ok"))
-    arms;
-  Printf.fprintf oc
-    "],\"digests_identical\":%b,\"parallel_speedup\":%s,\
-     \"bulk_load\":{\"rows\":%d,\"indexes\":2,\"runs\":%d,\
-     \"bulk_median_s\":%s,\"row_median_s\":%s,\"speedup\":%s,\
-     \"output_equal\":%b}}\n"
-    digests_identical (json_float speedup) experiments_bulk_rows
-    experiments_runs (json_float6 bulk.bk_bulk_s) (json_float6 bulk.bk_row_s)
-    (json_float (bulk.bk_row_s /. bulk.bk_bulk_s))
-    bulk.bk_output_equal;
-  close_out oc
-
-let experiments_suite ~(options : options) () =
-  (* Timed arms must not be skewed by main-domain metric recording. *)
-  let was_enabled = Obs.Registry.enabled () in
-  Obs.Registry.disable ();
-  Fun.protect
-    ~finally:(fun () -> if was_enabled then Obs.Registry.enable ())
-  @@ fun () ->
-  let config = experiments_reduced options.config in
-  let arms = experiments_sweep config in
-  let table =
-    Cddpd_util.Text_table.create
-      [
-        ("readahead", Cddpd_util.Text_table.Right);
-        ("cell jobs", Cddpd_util.Text_table.Right);
-        ("sweep median s", Cddpd_util.Text_table.Right);
-        ("digest", Cddpd_util.Text_table.Left);
-      ]
-  in
-  List.iter
-    (fun a ->
-      Cddpd_util.Text_table.add_row table
-        (if a.ex_skipped then
-           [
-             string_of_int a.ex_readahead;
-             string_of_int a.ex_cell_jobs;
-             "skipped";
-             "(more jobs than cores)";
-           ]
-         else
-           [
-             string_of_int a.ex_readahead;
-             string_of_int a.ex_cell_jobs;
-             Printf.sprintf "%.2f" a.ex_median_s;
-             String.sub a.ex_digest 0 12;
-           ]))
-    arms;
-  Cddpd_util.Text_table.print table;
-  (match List.filter (fun a -> not a.ex_skipped) arms with
-  | first :: rest as ran ->
-      List.iter
-        (fun a ->
-          if not (String.equal a.ex_digest first.ex_digest) then
-            failwith
-              (Printf.sprintf
-                 "experiments: outputs differ at readahead=%d cell_jobs=%d"
-                 a.ex_readahead a.ex_cell_jobs))
-        rest;
-      Printf.printf "\nall %d measured arms produced identical outputs\n%!"
-        (List.length ran)
-  | [] -> ());
-  let bulk = experiments_bulk () in
-  Printf.printf
-    "bulk load %d rows, 2 indexes: bulk %.2fs vs row-at-a-time %.2fs \
-     (%.1fx), outputs %s\n%!"
-    experiments_bulk_rows bulk.bk_bulk_s bulk.bk_row_s
-    (bulk.bk_row_s /. bulk.bk_bulk_s)
-    (if bulk.bk_output_equal then "equal" else "DIFFER");
-  if not bulk.bk_output_equal then
-    failwith "experiments: bulk load state differs from row-at-a-time load";
-  write_experiments_json options.experiments_out ~config arms bulk
-
-(* -- configspace suite: the design-space scaling pipeline ------------------ *)
-
-(* End-to-end run of the scaled pipeline (Candidates.generate ->
-   Pruner.score / dominance_prune / space -> Problem.build
-   ~compress_workload:true -> solve) off the paper's 4-column table: a
-   16-column table under a phased, template-based point-query workload,
-   swept over candidate budget x sequence length.  Templates repeat, so
-   workload compression has real clusters to find (the cost key depends
-   on statement shape and selectivity, not literal values), and phases
-   shift the hot columns so the solver has transitions worth paying for.
-
-   Every timed run digests both matrices bit-exactly; the digests must
-   agree across runs, and — wherever the exact arm stays affordable —
-   with an uncompressed Problem.build over the same space.  The JSON
-   records the what-if accounting: measured calls for the
-   pruned+compressed arm vs the naive per-statement construction over
-   the unpruned space of the same configuration width. *)
-
-module Candidates = Cddpd_core.Candidates
-module Pruner = Cddpd_core.Pruner
-module Schema = Cddpd_catalog.Schema
-module Parser = Cddpd_sql.Parser
-
-let configspace_runs = 3
-let configspace_caps = [ 20; 100; 500 ]
-let configspace_lengths = [ 64; 1024 ]
-let configspace_stmts_per_step = 4
-let configspace_rows = 4_000
-let configspace_value_range = 800
-let configspace_columns = 16
-let configspace_phases = 4
-let configspace_templates_per_phase = 32
-let configspace_max_width = 3
-let configspace_max_structures = 2
-let configspace_max_configs = 512
-let configspace_k = 2
-
-(* The exact (uncompressed) arm costs one cost-cache probe per
-   (statement, config): cross-check only where that stays affordable. *)
-let configspace_exact_budget = 2_500_000
-
-(* Concrete statement instances per template: the workload draws whole
-   statements from a fixed pool, the way prepared statements repeat in a
-   real trace.  The cost key hashes the histogram selectivity of each
-   literal, so only exact repeats cluster — pool reuse is what gives
-   workload compression real clusters to find. *)
-let configspace_instances_per_template = 2
-
-let configspace_schema =
-  Schema.table "w"
-    (List.init configspace_columns (fun i ->
-         (Printf.sprintf "c%d" i, Schema.Int_type)))
-
-let configspace_db () =
-  let db =
-    Cddpd_engine.Database.create ~pool_capacity:4096 [ configspace_schema ]
-  in
-  Cddpd_engine.Database.load db ~table:"w"
-    (Cddpd_workload.Data_gen.uniform_rows ~columns:configspace_columns
-       ~rows:configspace_rows ~value_range:configspace_value_range ~seed:7);
-  db
-
-(* Per phase, a fixed pool of 2-3-predicate point-query templates over that
-   phase's 8 hot columns; phases overlap by 4 columns so candidates and
-   clusters are shared across phase boundaries. *)
-let configspace_templates =
-  let rng = Rng.create 11 in
-  let phases =
-    Array.make configspace_phases (Array.make 0 ([ 0 ], 0))
-  in
-  for phase = 0 to configspace_phases - 1 do
-    let pool = Array.make configspace_templates_per_phase ([ 0 ], 0) in
-    for t = 0 to configspace_templates_per_phase - 1 do
-      let col () = ((4 * phase) + Rng.int rng 8) mod configspace_columns in
-      let fresh taken =
-        let c = ref (col ()) in
-        while List.mem !c taken do
-          c := col ()
-        done;
-        !c
-      in
-      let c1 = fresh [] in
-      let c2 = fresh [ c1 ] in
-      let preds =
-        if Rng.int rng 2 = 0 then [ c1; c2 ] else [ c1; c2; fresh [ c1; c2 ] ]
-      in
-      pool.(t) <- (preds, col ())
-    done;
-    phases.(phase) <- pool
-  done;
-  phases
-
-(* Per phase, the concrete (parsed) statement pools the workload draws
-   from: [instances_per_template] point queries per template, plus a
-   small pool of updates (DML keeps index-maintenance cost in the
-   benefit vectors). *)
-let configspace_statement_pool =
-  let rng = Rng.create 17 in
-  let value () = Rng.int rng configspace_value_range in
-  let selects = Array.make configspace_phases [||] in
-  let updates = Array.make configspace_phases [||] in
-  for phase = 0 to configspace_phases - 1 do
-    let templates = configspace_templates.(phase) in
-    let pool =
-      Array.make (Array.length templates * configspace_instances_per_template)
-        (Ast.Select { Ast.projection = Ast.Star; table = "w"; where = [] })
-    in
-    Array.iteri
-      (fun t (preds, proj) ->
-        for i = 0 to configspace_instances_per_template - 1 do
-          let conj =
-            List.map (fun c -> Printf.sprintf "c%d = %d" c (value ())) preds
-          in
-          pool.((t * configspace_instances_per_template) + i) <-
-            Parser.parse_exn
-              (Printf.sprintf "SELECT c%d FROM w WHERE %s" proj
-                 (String.concat " AND " conj))
-        done)
-      templates;
-    selects.(phase) <- pool;
-    updates.(phase) <-
-      Array.map
-        (fun (preds, set_col) ->
-          Parser.parse_exn
-            (Printf.sprintf "UPDATE w SET c%d = %d WHERE c%d = %d" set_col
-               (value ()) (List.hd preds) (value ())))
-        (Array.sub templates 0 8)
-  done;
-  (selects, updates)
-
-let configspace_workload n_steps =
-  let selects, updates = configspace_statement_pool in
-  let rng = Rng.create (100 + n_steps) in
-  let steps = Array.make n_steps [||] in
-  for s = 0 to n_steps - 1 do
-    let phase = s * configspace_phases / n_steps in
-    let pick pool = pool.(Rng.int rng (Array.length pool)) in
-    let stmts =
-      Array.init configspace_stmts_per_step (fun q ->
-          if q = configspace_stmts_per_step - 1 && s mod 4 = 0 then
-            pick updates.(phase)
-          else pick selects.(phase))
-    in
-    steps.(s) <- stmts
-  done;
-  steps
-
-let configspace_matrix_digest (problem : Problem.t) =
-  let buf = Buffer.create (1 lsl 16) in
-  let add m =
-    Array.iter
-      (fun row ->
-        Array.iter (fun x -> Buffer.add_int64_ne buf (Int64.bits_of_float x)) row)
-      m
-  in
-  add problem.Problem.exec;
-  add problem.Problem.trans;
-  Digest.to_hex (Digest.string (Buffer.contents buf))
-
-let configspace_pipeline ~params ~stats_of ~steps ~flat cap =
-  let candidates =
-    Candidates.generate configspace_schema ~max_width:configspace_max_width
-      ~max_candidates:cap flat
-  in
-  let scored = Pruner.score ~params ~stats_of ~steps candidates in
-  let survivors, pruned = Pruner.dominance_prune scored in
-  let space =
-    Pruner.space ~max_structures:configspace_max_structures
-      ~max_configs:configspace_max_configs survivors
-  in
-  let problem =
-    Problem.build ~params ~stats_of ~steps ~space ~initial:Design.empty
-      ~compress_workload:true ()
-  in
-  (candidates, survivors, pruned, problem)
-
-type configspace_entry = {
-  cg_cap : int;
-  cg_n : int;
-  cg_statements : int;
-  cg_generated : int;
-  cg_survivors : int;
-  cg_pruned : int;
-  cg_clusters : int;
-  cg_configs : int;
-  cg_exec_skipped : int;
-  cg_trans_memoized : int;
-  cg_pipeline_s : float;
-  cg_solve_s : float;
-  cg_cost : float;
-  cg_changes : int;
-  cg_measured_whatif : int;
-  cg_naive_configs : int;
-  cg_naive_whatif : int;
-  cg_same_space_whatif : int;
-  cg_digest : string;
-  cg_exact_checked : bool;
-}
-
-let configspace_suite ~(options : options) () =
-  ignore options;
-  let was_enabled = Obs.Registry.enabled () in
-  Obs.Registry.disable ();
-  Fun.protect
-    ~finally:(fun () -> if was_enabled then Obs.Registry.enable ())
-  @@ fun () ->
-  let db = configspace_db () in
-  let params = Cddpd_engine.Database.params db in
-  let stats_of table = Cddpd_engine.Database.table_stats db table in
-  let table =
-    Cddpd_util.Text_table.create
-      [
-        ("cap", Cddpd_util.Text_table.Right);
-        ("n", Cddpd_util.Text_table.Right);
-        ("stmts", Cddpd_util.Text_table.Right);
-        ("cand", Cddpd_util.Text_table.Right);
-        ("surv", Cddpd_util.Text_table.Right);
-        ("clusters", Cddpd_util.Text_table.Right);
-        ("configs", Cddpd_util.Text_table.Right);
-        ("pipeline ms", Cddpd_util.Text_table.Right);
-        ("solve ms", Cddpd_util.Text_table.Right);
-        ("what-if", Cddpd_util.Text_table.Right);
-        ("naive", Cddpd_util.Text_table.Right);
-        ("ratio", Cddpd_util.Text_table.Right);
-        ("exact", Cddpd_util.Text_table.Left);
-      ]
-  in
-  let entries =
-    List.concat_map
-      (fun n_steps ->
-        let steps = configspace_workload n_steps in
-        let flat = Array.concat (Array.to_list steps) in
-        let total_statements = Array.length flat in
-        List.map
-          (fun cap ->
-            let result = ref None in
-            let digests = ref [] in
-            let times =
-              Array.init configspace_runs (fun _ ->
-                  let t0 = Unix.gettimeofday () in
-                  let r = configspace_pipeline ~params ~stats_of ~steps ~flat cap in
-                  let elapsed = Unix.gettimeofday () -. t0 in
-                  let _, _, _, problem = r in
-                  digests := configspace_matrix_digest problem :: !digests;
-                  result := Some r;
-                  elapsed)
-            in
-            let pipeline_s = median_of times in
-            (match !digests with
-            | first :: rest ->
-                List.iter
-                  (fun d ->
-                    if not (String.equal d first) then
-                      failwith
-                        (Printf.sprintf
-                           "configspace: matrices differ across runs at cap=%d n=%d"
-                           cap n_steps))
-                  rest
-            | [] -> ());
-            let candidates, survivors, pruned, problem = Option.get !result in
-            let digest = List.hd !digests in
-            let generated = List.length candidates in
-            let n_survivors = List.length survivors in
-            let clusters =
-              match survivors with
-              | s :: _ -> Array.length s.Pruner.benefit
-              | [] -> 0
-            in
-            let n_configs = Config_space.size problem.Problem.space in
-            (* Counters come from one instrumented (untimed) rerun. *)
-            let delta =
-              with_counters (fun () ->
-                  configspace_pipeline ~params ~stats_of ~steps ~flat cap)
-            in
-            let exec_skipped =
-              snapshot_counter delta "problem.exec_columns_skipped"
-            in
-            let trans_memoized =
-              snapshot_counter delta "problem.trans_builds_memoized"
-            in
-            let t0 = Unix.gettimeofday () in
-            let solution =
-              match
-                Optimizer.solve problem ~method_name:Solution.Merging
-                  ~k:configspace_k ()
-              with
-              | Ok s -> s
-              | Error _ -> failwith "configspace: merging solve failed"
-            in
-            let solve_s = Unix.gettimeofday () -. t0 in
-            let exact_checked =
-              total_statements * n_configs <= configspace_exact_budget
-              &&
-              (let exact =
-                 Problem.build ~params ~stats_of ~steps
-                   ~space:problem.Problem.space ~initial:Design.empty ()
-               in
-               if not (String.equal (configspace_matrix_digest exact) digest)
-               then
-                 failwith
-                   (Printf.sprintf
-                      "configspace: compressed matrices differ from exact at \
-                       cap=%d n=%d"
-                      cap n_steps);
-               true)
-            in
-            (* What-if accounting.  Measured: scoring pays one call per
-               (cluster, candidate) plus the per-cluster base, EXEC pays one
-               per (filled config, cluster), TRANS builds each surviving
-               structure once.  Naive: per-statement EXEC over the unpruned
-               space of the same width, per-pair TRANS. *)
-            let measured =
-              (clusters * (1 + generated))
-              + ((n_configs - exec_skipped) * clusters)
-              + n_survivors
-            in
-            let naive_configs = 1 + generated + (generated * (generated - 1) / 2) in
-            let naive =
-              (total_statements * naive_configs) + (naive_configs * naive_configs)
-            in
-            let same_space =
-              (total_statements * n_configs) + (n_configs * n_configs)
-            in
-            if cap = 500 && n_steps = 1024 then begin
-              if n_configs < 500 then
-                failwith
-                  (Printf.sprintf "configspace: only %d configs at the headline cell"
-                     n_configs);
-              if n_survivors < 50 then
-                failwith
-                  (Printf.sprintf
-                     "configspace: only %d surviving candidates at the headline cell"
-                     n_survivors);
-              if measured * 10 > naive then
-                failwith
-                  (Printf.sprintf
-                     "configspace: measured what-if %d not 10x below naive %d"
-                     measured naive)
-            end;
-            Cddpd_util.Text_table.add_row table
-              [
-                string_of_int cap;
-                string_of_int n_steps;
-                string_of_int total_statements;
-                string_of_int generated;
-                string_of_int n_survivors;
-                string_of_int clusters;
-                string_of_int n_configs;
-                Printf.sprintf "%.1f" (pipeline_s *. 1e3);
-                Printf.sprintf "%.1f" (solve_s *. 1e3);
-                string_of_int measured;
-                string_of_int naive;
-                Printf.sprintf "%.0fx" (float_of_int naive /. float_of_int (max 1 measured));
-                (if exact_checked then "ok" else "-");
-              ];
-            {
-              cg_cap = cap;
-              cg_n = n_steps;
-              cg_statements = total_statements;
-              cg_generated = generated;
-              cg_survivors = n_survivors;
-              cg_pruned = pruned;
-              cg_clusters = clusters;
-              cg_configs = n_configs;
-              cg_exec_skipped = exec_skipped;
-              cg_trans_memoized = trans_memoized;
-              cg_pipeline_s = pipeline_s;
-              cg_solve_s = solve_s;
-              cg_cost = solution.Solution.cost;
-              cg_changes = solution.Solution.changes;
-              cg_measured_whatif = measured;
-              cg_naive_configs = naive_configs;
-              cg_naive_whatif = naive;
-              cg_same_space_whatif = same_space;
-              cg_digest = digest;
-              cg_exact_checked = exact_checked;
-            })
-          configspace_caps)
-      configspace_lengths
-  in
-  Cddpd_util.Text_table.print table;
-  entries
-
-let write_configspace_json path entries =
-  let oc = open_out path in
-  Printf.fprintf oc
-    "{\"schema\":\"cddpd-bench-configspace/1\",\"rows\":%d,\"value_range\":%d,\
-     \"columns\":%d,\"statements_per_step\":%d,\"runs\":%d,\"cores\":%d,\
-     \"max_width\":%d,\
-     \"max_structures\":%d,\"max_configs\":%d,\"k\":%d,\"cells\":["
-    configspace_rows configspace_value_range configspace_columns
-    configspace_stmts_per_step configspace_runs (Cddpd_util.Parallel.ncpu ())
-    configspace_max_width
-    configspace_max_structures configspace_max_configs configspace_k;
-  List.iteri
-    (fun i e ->
-      Printf.fprintf oc
-        "%s{\"candidates_cap\":%d,\"n_steps\":%d,\"statements\":%d,\
-         \"generated\":%d,\"survivors\":%d,\"pruned\":%d,\"prune_ratio\":%s,\
-         \"clusters\":%d,\"compression_ratio\":%s,\"configs\":%d,\
-         \"exec_columns_skipped\":%d,\"trans_builds_memoized\":%d,\
-         \"pipeline_median_s\":%s,\"solve_s\":%s,\"solve_cost\":%s,\
-         \"changes\":%d,\"whatif\":{\"measured\":%d,\
-         \"naive_unpruned_configs\":%d,\"naive_unpruned\":%d,\
-         \"ratio_vs_naive\":%s,\"same_space_per_statement\":%d,\
-         \"ratio_vs_same_space\":%s},\"digest\":\"%s\",\
-         \"exact_arm_checked\":%b}"
-        (if i = 0 then "" else ",")
-        e.cg_cap e.cg_n e.cg_statements e.cg_generated e.cg_survivors
-        e.cg_pruned
-        (json_float
-           (float_of_int e.cg_pruned /. float_of_int (max 1 e.cg_generated)))
-        e.cg_clusters
-        (json_float
-           (float_of_int e.cg_statements /. float_of_int (max 1 e.cg_clusters)))
-        e.cg_configs e.cg_exec_skipped e.cg_trans_memoized
-        (json_float6 e.cg_pipeline_s) (json_float6 e.cg_solve_s)
-        (json_float e.cg_cost) e.cg_changes e.cg_measured_whatif
-        e.cg_naive_configs e.cg_naive_whatif
-        (json_float
-           (float_of_int e.cg_naive_whatif
-           /. float_of_int (max 1 e.cg_measured_whatif)))
-        e.cg_same_space_whatif
-        (json_float
-           (float_of_int e.cg_same_space_whatif
-           /. float_of_int (max 1 e.cg_measured_whatif)))
-        e.cg_digest e.cg_exact_checked)
-    entries;
-  output_string oc "]}\n";
-  close_out oc
-
-(* -- serve suite: incremental re-optimization across windows --------------- *)
-
-(* One serve run over a phased trace, threading the persistent {!Reopt}
-   session, with drift detection forced to re-optimize at every window
-   close so the stable-phase windows expose the incremental rebuild.  At
-   every window close the reference oracle rebuilds the same decision from
-   scratch ({!Reference.reoptimize}: offline problem build with no
-   session, unseeded solve, guard).  Instrumentation stays ENABLED: the
-   headline is what-if call counts, and [cost_model.calls] is silent
-   otherwise; the same counter measures each reference rebuild.
-
-   Checked on every run, not just recorded: each window's decision must
-   match the reference bit for bit, the stable-phase windows must make
-   >= [serve_min_stable_ratio] fewer what-if calls incrementally than the
-   reference makes from scratch, and no stable-phase window may recost
-   its whole cluster table. *)
-
-module Server = Cddpd_serve.Server
-module Reference = Cddpd_reference.Reference
-module Reopt = Cddpd_core.Reopt
-module Compress = Cddpd_workload.Compress
-module Cost_key = Cddpd_engine.Cost_key
-
-let serve_rows = 4_000
-let serve_value_range = 800
-let serve_window = 50
-let serve_pool_size = 20
-let serve_phases =
-  [| "a"; "a"; "a"; "b"; "b"; "b"; "a"; "a"; "c"; "c"; "a"; "a" |]
-let serve_min_stable_ratio = 5.0
-
-(* Windows whose phase matches the previous window's: the cells where an
-   online advisor should pay only the delta. *)
-let serve_stable =
-  Array.mapi
-    (fun i p -> i > 0 && String.equal p serve_phases.(i - 1))
-    serve_phases
-
-let serve_schema =
-  Schema.table "t"
-    [ ("a", Schema.Int_type); ("b", Schema.Int_type); ("c", Schema.Int_type);
-      ("d", Schema.Int_type) ]
-
-let serve_db () =
-  let db = Cddpd_engine.Database.create ~pool_capacity:2048 [ serve_schema ] in
-  Cddpd_engine.Database.load db ~table:"t"
-    (Cddpd_workload.Data_gen.uniform_rows ~columns:4 ~rows:serve_rows
-       ~value_range:serve_value_range ~seed:3);
-  Cddpd_engine.Database.analyze db;
-  db
-
-(* Per phase column, a fixed pool of concrete point queries; windows draw
-   from the pool round-robin, the way prepared statements repeat in a
-   real trace.  Two windows of the same phase therefore carry the same
-   cost-identity key set even though the loop serves every arriving
-   statement individually — the stable-workload case the reuse path is
-   built for. *)
-let serve_statement_pool =
-  let pool column =
-    Array.init serve_pool_size (fun i ->
-        Parser.parse_exn
-          (Printf.sprintf "SELECT * FROM t WHERE %s = %d" column
-             (1 + ((i * 37) mod serve_value_range))))
-  in
-  [ ("a", pool "a"); ("b", pool "b"); ("c", pool "c") ]
-
-let serve_phase_window phase =
-  let pool = List.assoc phase serve_statement_pool in
-  Array.init serve_window (fun i -> pool.(i mod serve_pool_size))
-
-let serve_trace () =
-  Array.concat (Array.to_list (Array.map serve_phase_window serve_phases))
-
-let serve_server_config =
-  {
-    (Server.default_config ~table:"t") with
-    Server.window = serve_window;
-    drift_threshold = -1.0;  (* re-optimize at every window close *)
-    jobs = Some 1;
-  }
-
-let serve_cost_model_calls = Obs.Registry.counter "cost_model.calls"
-
-(* What each window's re-optimization did: the reference rebuild from
-   scratch, and the serve loop's incremental one. *)
-type serve_cell = {
-  se_scratch_whatif : int;  (** cost_model.calls of the reference rebuild *)
-  se_scratch_s : float;
-  se_whatif : int;  (** cost_model.calls of the serve loop's re-optimization *)
-  se_reopt_s : float;
-  se_exec_reused : int;
-  se_recosted : int;
-  se_trans_reused : int;
-}
-
-type serve_run = {
-  se_cells : serve_cell array;
-  se_wall_s : float;  (** whole-trace wall time, execution included, oracle excluded *)
-  se_stats : Reopt.stats;
-  se_digest : string;  (** MD5 over every window's decision digest *)
-}
-
-let serve_action_fingerprint = function
-  | Server.No_action -> "none"
-  | Server.Held _ -> "held"
-  | Server.Deployed { design; _ } -> "deploy:" ^ Design.name design
-  | Server.Rejected { design; _ } -> "reject:" ^ Design.name design
-  | Server.Rolled_back { restored; _ } -> "rollback:" ^ Design.name restored
-
-(* %h keeps the drift distance bit-precise, as in the other suites. *)
-let serve_window_digest (w : Server.window_report) =
-  Printf.sprintf "%d:%d:%d:%s:%b:%s" w.Server.index w.Server.n_statements
-    w.Server.exec_logical_io
-    (match w.Server.drift with None -> "-" | Some d -> Printf.sprintf "%h" d)
-    w.Server.drifted
-    (serve_action_fingerprint w.Server.action)
-
-let digest_of_list digests = Digest.to_hex (Digest.string (String.concat "|" digests))
-
-let serve_run trace =
-  let db = serve_db () in
-  let scratch = ref [] and oracle_s = ref 0.0 in
-  let on_window w =
-    let calls = Obs.Counter.value serve_cost_model_calls in
-    let result, elapsed =
-      Cddpd_util.Timer.time (fun () ->
-          Reference.reoptimize db serve_server_config ~trace w)
-    in
-    (match result with Ok () -> () | Error e -> failwith ("serve: " ^ e));
-    oracle_s := !oracle_s +. elapsed;
-    scratch := (Obs.Counter.value serve_cost_model_calls - calls, elapsed) :: !scratch
-  in
-  let server = Server.create ~on_window db serve_server_config in
-  let cells = ref [] and digests = ref [] in
-  let prev = ref (Server.reopt_stats server) in
-  let t0 = Unix.gettimeofday () in
-  Array.iter
-    (fun stmt ->
-      match Server.feed server stmt with
-      | None -> ()
-      | Some w ->
-          let now = Server.reopt_stats server in
-          let dr f = f now.Reopt.reuse - f !prev.Reopt.reuse in
-          let scratch_whatif, scratch_s = List.hd !scratch in
-          digests := serve_window_digest w :: !digests;
-          cells :=
-            {
-              se_scratch_whatif = scratch_whatif;
-              se_scratch_s = scratch_s;
-              se_whatif = w.Server.reopt_whatif_calls;
-              se_reopt_s = w.Server.reopt_s;
-              se_exec_reused = dr (fun t -> t.Problem.Reuse.exec_columns_reused);
-              se_recosted = dr (fun t -> t.Problem.Reuse.clusters_recosted);
-              se_trans_reused = dr (fun t -> t.Problem.Reuse.trans_blocks_reused);
-            }
-            :: !cells;
-          prev := now)
-    trace;
-  let wall = Unix.gettimeofday () -. t0 -. !oracle_s in
-  let report = Server.finish server in
-  {
-    se_cells = Array.of_list (List.rev !cells);
-    se_wall_s = wall;
-    se_stats = report.Server.reopt;
-    se_digest = digest_of_list (List.rev !digests);
-  }
-
-(* The cluster-table size of each window's re-optimization problem,
-   computed independently of the serve loop (same keys, same clustering,
-   over the same [history] windows): the denominator for the "no stable
-   window recosts everything" guard.  The trace has no DML, so the
-   statistics — and with them the keys — are fixed for the whole run. *)
-let serve_cluster_tables () =
-  let stats = Cddpd_engine.Database.table_stats (serve_db ()) "t" in
-  let history = serve_server_config.Server.history in
-  Array.mapi
-    (fun i _ ->
-      let lo = max 0 (i - history + 1) in
-      let stmts =
-        Array.concat
-          (List.init (i - lo + 1) (fun j ->
-               serve_phase_window serve_phases.(lo + j)))
-      in
-      let keys = Array.map (fun s -> Cost_key.statement stats s) stmts in
-      Array.length (Compress.cluster_keys keys).Compress.representatives)
-    serve_phases
-
-let serve_stable_sum f run =
-  let acc = ref 0 in
-  Array.iteri (fun i c -> if serve_stable.(i) then acc := !acc + f c) run.se_cells;
-  !acc
-
-let serve_stable_sum_s f run =
-  let acc = ref 0.0 in
-  Array.iteri (fun i c -> if serve_stable.(i) then acc := !acc +. f c) run.se_cells;
-  !acc
-
-let serve_suite () =
-  let was_enabled = Obs.Registry.enabled () in
-  Obs.Registry.enable ();
-  Fun.protect
-    ~finally:(fun () -> if not was_enabled then Obs.Registry.disable ())
-  @@ fun () ->
-  let trace = serve_trace () in
-  Printf.printf
-    "trace: %d windows x %d statements, phases %s; re-optimizing every window\n%!"
-    (Array.length serve_phases) serve_window
-    (String.concat "" (Array.to_list serve_phases));
-  let run = serve_run trace in
-  if Array.length run.se_cells <> Array.length serve_phases then
-    failwith "serve: expected one closed window per phase entry";
-  Printf.printf "every window matches the reference rebuild; window digest %s\n%!"
-    run.se_digest;
-  let clusters = serve_cluster_tables () in
-  let table =
-    Cddpd_util.Text_table.create
-      [
-        ("window", Cddpd_util.Text_table.Right);
-        ("phase", Cddpd_util.Text_table.Left);
-        ("stable", Cddpd_util.Text_table.Left);
-        ("clusters", Cddpd_util.Text_table.Right);
-        ("scratch calls", Cddpd_util.Text_table.Right);
-        ("incr calls", Cddpd_util.Text_table.Right);
-        ("scratch ms", Cddpd_util.Text_table.Right);
-        ("incr ms", Cddpd_util.Text_table.Right);
-        ("cols reused", Cddpd_util.Text_table.Right);
-        ("recosted", Cddpd_util.Text_table.Right);
-        ("trans reused", Cddpd_util.Text_table.Right);
-      ]
-  in
-  Array.iteri
-    (fun i c ->
-      Cddpd_util.Text_table.add_row table
-        [
-          string_of_int i;
-          serve_phases.(i);
-          (if serve_stable.(i) then "yes" else "-");
-          string_of_int clusters.(i);
-          string_of_int c.se_scratch_whatif;
-          string_of_int c.se_whatif;
-          Printf.sprintf "%.1f" (c.se_scratch_s *. 1e3);
-          Printf.sprintf "%.1f" (c.se_reopt_s *. 1e3);
-          string_of_int c.se_exec_reused;
-          string_of_int c.se_recosted;
-          string_of_int c.se_trans_reused;
-        ])
-    run.se_cells;
-  Cddpd_util.Text_table.print table;
-  Array.iteri
-    (fun i stable ->
-      if stable then begin
-        let c = run.se_cells.(i) in
-        if clusters.(i) <= 0 then
-          failwith (Printf.sprintf "serve: window %d has no clusters" i);
-        if c.se_recosted >= clusters.(i) then
-          failwith
-            (Printf.sprintf
-               "serve: stable window %d recosted all %d clusters — the reuse \
-                path found nothing to copy"
-               i clusters.(i))
-      end)
-    serve_stable;
-  let calls_scratch = serve_stable_sum (fun c -> c.se_scratch_whatif) run in
-  let calls_incr = serve_stable_sum (fun c -> c.se_whatif) run in
-  let ratio = float_of_int calls_scratch /. float_of_int (max 1 calls_incr) in
-  if ratio < serve_min_stable_ratio then
-    failwith
-      (Printf.sprintf
-         "serve: stable-window what-if ratio %.1fx below the %.0fx floor \
-          (%d from-scratch vs %d incremental)"
-         ratio serve_min_stable_ratio calls_scratch calls_incr);
-  let reopt_s_scratch = serve_stable_sum_s (fun c -> c.se_scratch_s) run in
-  let reopt_s_incr = serve_stable_sum_s (fun c -> c.se_reopt_s) run in
-  Printf.printf
-    "\nstable windows: %d what-if calls from scratch vs %d incremental \
-     (%.1fx), %.1fms vs %.1fms re-optimizing\n%!"
-    calls_scratch calls_incr ratio (reopt_s_scratch *. 1e3)
-    (reopt_s_incr *. 1e3);
-  Printf.printf
-    "incremental session: %d builds, %d exec columns reused, %d clusters \
-     recosted, %d trans blocks reused, cache %d/%d hit/miss\n%!"
-    run.se_stats.Reopt.reuse.Problem.Reuse.builds
-    run.se_stats.Reopt.reuse.Problem.Reuse.exec_columns_reused
-    run.se_stats.Reopt.reuse.Problem.Reuse.clusters_recosted
-    run.se_stats.Reopt.reuse.Problem.Reuse.trans_blocks_reused
-    run.se_stats.Reopt.cache.Cddpd_engine.Cost_cache.hits
-    run.se_stats.Reopt.cache.Cddpd_engine.Cost_cache.misses;
-  (run, clusters)
-
-let write_serve_json path (run, clusters) =
-  let cfg = serve_server_config in
-  let calls_scratch = serve_stable_sum (fun c -> c.se_scratch_whatif) run in
-  let calls_incr = serve_stable_sum (fun c -> c.se_whatif) run in
-  let reopt_s_scratch = serve_stable_sum_s (fun c -> c.se_scratch_s) run in
-  let reopt_s_incr = serve_stable_sum_s (fun c -> c.se_reopt_s) run in
-  let stable_windows =
-    Array.fold_left (fun acc s -> if s then acc + 1 else acc) 0 serve_stable
-  in
-  let oc = open_out path in
-  Printf.fprintf oc
-    "{\"schema\":\"cddpd-bench-serve/1\",\"rows\":%d,\"value_range\":%d,\
-     \"window\":%d,\"pool\":%d,\"history\":%d,\"k\":%d,\"method\":\"%s\",\
-     \"jobs\":1,\"cores\":%d,\"phases\":\"%s\",\"cells\":["
-    serve_rows serve_value_range serve_window serve_pool_size
-    cfg.Server.history cfg.Server.k
-    (json_escape (Solution.method_to_string cfg.Server.method_name))
-    (Cddpd_util.Parallel.ncpu ())
-    (String.concat "" (Array.to_list serve_phases));
-  Array.iteri
-    (fun i c ->
-      Printf.fprintf oc
-        "%s{\"index\":%d,\"phase\":\"%s\",\"stable\":%b,\"clusters\":%d,\
-         \"digest_equal\":true,\"from_scratch\":{\"whatif_calls\":%d,\
-         \"reopt_s\":%s},\"incremental\":{\"whatif_calls\":%d,\"reopt_s\":%s,\
-         \"exec_columns_reused\":%d,\"clusters_recosted\":%d,\
-         \"trans_blocks_reused\":%d}}"
-        (if i = 0 then "" else ",")
-        i serve_phases.(i) serve_stable.(i) clusters.(i) c.se_scratch_whatif
-        (json_float6 c.se_scratch_s) c.se_whatif (json_float6 c.se_reopt_s)
-        c.se_exec_reused c.se_recosted c.se_trans_reused)
-    run.se_cells;
-  Printf.fprintf oc
-    "],\"stable\":{\"windows\":%d,\"whatif_calls_from_scratch\":%d,\
-     \"whatif_calls_incremental\":%d,\"whatif_ratio\":%s,\
-     \"reopt_s_from_scratch\":%s,\"reopt_s_incremental\":%s,\"speedup\":%s},"
-    stable_windows calls_scratch calls_incr
-    (json_float
-       (float_of_int calls_scratch /. float_of_int (max 1 calls_incr)))
-    (json_float6 reopt_s_scratch) (json_float6 reopt_s_incr)
-    (json_float (reopt_s_scratch /. reopt_s_incr));
-  let tallies = run.se_stats.Reopt.reuse in
-  let cache = run.se_stats.Reopt.cache in
-  Printf.fprintf oc
-    "\"totals\":{\"wall_incremental_s\":%s,\
-     \"incremental\":{\"reoptimizations\":%d,\"warm_start_bounds\":%d,\
-     \"builds\":%d,\"exec_columns_reused\":%d,\"clusters_recosted\":%d,\
-     \"trans_blocks_reused\":%d,\"stats_invalidations\":%d,\
-     \"cache\":{\"hits\":%d,\"misses\":%d,\"evictions\":%d,\
-     \"generations\":%d}},\"from_scratch\":{\"reoptimizations\":%d,\
-     \"warm_start_bounds\":0}},\"window_digest\":\"%s\",\
-     \"digests_identical\":true}\n"
-    (json_float6 run.se_wall_s)
-    run.se_stats.Reopt.reoptimizations run.se_stats.Reopt.warm_start_bounds
-    tallies.Problem.Reuse.builds tallies.Problem.Reuse.exec_columns_reused
-    tallies.Problem.Reuse.clusters_recosted
-    tallies.Problem.Reuse.trans_blocks_reused
-    tallies.Problem.Reuse.stats_invalidations
-    cache.Cddpd_engine.Cost_cache.hits cache.Cddpd_engine.Cost_cache.misses
-    cache.Cddpd_engine.Cost_cache.evictions
-    cache.Cddpd_engine.Cost_cache.generations
-    (* the oracle rebuilds exactly the windows the server re-optimized *)
-    run.se_stats.Reopt.reoptimizations run.se_digest;
-  close_out oc
-
-(* -- ingest suite: serve statement fast path -------------------------------- *)
-
-(* The same phased raw-SQL trace served by the ingest fast path
-   (statement-template cache, one-pass cost keys, plan-choice memo) and
-   replayed by the reference oracle ({!Reference.replay}: fresh parse and
-   validation, feed-time cost keys, unmemoized planning) on an
-   identically-seeded database.  The fast path claims bit-identity, so
-   every window's measured I/O, drift distance and migration I/O must
-   match the replay, and every re-optimization must match
-   {!Reference.reoptimize} — checked with failwith on every run, not just
-   recorded.  The headline is ingest statement throughput: per-statement
-   wall time is split into an ingest bucket (statements that only execute
-   and buffer) and a close bucket (the one statement per window that also
-   runs drift detection and, on the served side, re-optimization and
-   deployment), and the gate is the ratio of ingest statements/s, floor
-   [ingest_min_ratio]. *)
-
-module Plan_cache = Cddpd_engine.Plan_cache
-module Template = Cddpd_sql.Template
-
-let ingest_rows = 3_000
-let ingest_value_range = 50_000
-let ingest_window = 1_000
-let ingest_pool_size = 48
-let ingest_churn_every = 20  (* every 20th statement carries fresh literals *)
-let ingest_min_ratio = 5.0
-
-let ingest_phases =
-  [| "a"; "a"; "a"; "a"; "a"; "b"; "b"; "b"; "b"; "b"; "a"; "a"; "a"; "a";
-     "a"; "a" |]
-
-(* A wide table and wide statements: seven predicates each, so the
-   per-statement front-end work (lex, parse, validate, cost-key every
-   predicate, plan choice) — the work the fast path caches — dominates
-   execution.  Both queried columns are indexed up front, so execution is
-   a cheap point seek (almost always empty at this value range) in every
-   window of both arms. *)
-let ingest_schema =
-  Schema.table "t"
-    [ ("a", Schema.Int_type); ("b", Schema.Int_type); ("c", Schema.Int_type);
-      ("d", Schema.Int_type); ("e", Schema.Int_type); ("f", Schema.Int_type);
-      ("g", Schema.Int_type); ("h", Schema.Int_type) ]
-
-let ingest_db () =
-  let db = Cddpd_engine.Database.create ~pool_capacity:2048 [ ingest_schema ] in
-  Cddpd_engine.Database.build_index db (Index_def.make ~table:"t" ~columns:[ "a" ]);
-  Cddpd_engine.Database.build_index db (Index_def.make ~table:"t" ~columns:[ "b" ]);
-  Cddpd_engine.Database.load db ~table:"t"
-    (Cddpd_workload.Data_gen.uniform_rows ~columns:8 ~rows:ingest_rows
-       ~value_range:ingest_value_range ~seed:11);
-  Cddpd_engine.Database.analyze db;
-  db
-
-let ingest_text column value lo =
-  Printf.sprintf
-    "SELECT a, b FROM t WHERE %s = %d AND c BETWEEN %d AND %d AND d = %d \
-     AND e = %d AND f = %d AND g = %d AND h = %d"
-    column value lo (lo + 40)
-    (1 + (value mod 97))
-    (1 + (lo mod 89))
-    (1 + (value mod 83))
-    (1 + (lo mod 79))
-    (1 + (value mod 73))
-
-(* Per phase column, a fixed pool of prepared-statement-like texts; the
-   churn statements between them never repeat a literal, so the template
-   layer must rebind, not just replay. *)
-let ingest_pool column =
-  Array.init ingest_pool_size (fun i ->
-      ingest_text column
-        (1 + (i * 1_031 mod ingest_value_range))
-        (1 + (i * 157 mod ingest_value_range)))
-
-let ingest_churn_text column j =
-  ingest_text column
-    (1 + (j * 7_919 mod ingest_value_range))
-    (1 + (j * 3_571 mod ingest_value_range))
-
-let ingest_trace () =
-  let texts = ref [] in
-  let j = ref 0 in
-  Array.iter
-    (fun phase ->
-      let pool = ingest_pool phase in
-      for i = 0 to ingest_window - 1 do
-        incr j;
-        texts :=
-          (if i mod ingest_churn_every = 0 then ingest_churn_text phase !j
-           else pool.(i mod ingest_pool_size))
-          :: !texts
-      done)
-    ingest_phases;
-  Array.of_list (List.rev !texts)
-
-let ingest_config =
-  { (Server.default_config ~table:"t") with Server.window = ingest_window; jobs = Some 1 }
-
-(* The serve digest plus the window's what-if call count. *)
-let ingest_window_digest (w : Server.window_report) =
-  Printf.sprintf "%s:%d" (serve_window_digest w) w.Server.reopt_whatif_calls
-
-type ingest_arm = {
-  in_ingest_s : float;  (** wall seconds in statements that closed no window *)
-  in_close_s : float;  (** wall seconds in window-closing statements *)
-  in_ingest_statements : int;
-  in_statements : int;
-  in_exec_io : int;
-  in_trans_io : int;
-  in_template : Template.stats option;
-  in_plan : Plan_cache.stats;
-}
-
-(* The served arm.  Each window's decision is checked against the
-   reference rebuild inside the window-closing feed; that oracle time is
-   taken out of the close bucket. *)
-let ingest_serve_arm trace =
-  let db = ingest_db () in
-  let statements = Array.map Parser.parse_exn trace in
-  let oracle_s = ref 0.0 in
-  let on_window w =
-    let result, elapsed =
-      Cddpd_util.Timer.time (fun () ->
-          Reference.reoptimize db ingest_config ~trace:statements w)
-    in
-    oracle_s := !oracle_s +. elapsed;
-    match result with Ok () -> () | Error e -> failwith ("ingest: " ^ e)
-  in
-  let server = Server.create ~on_window db ingest_config in
-  let digests = ref [] in
-  let ingest_s = ref 0.0 and close_s = ref 0.0 and ingest_n = ref 0 in
-  Array.iter
-    (fun text ->
-      let t0 = Unix.gettimeofday () in
-      match Server.feed_sql server text with
-      | Ok None ->
-          ingest_s := !ingest_s +. (Unix.gettimeofday () -. t0);
-          incr ingest_n
-      | Ok (Some w) ->
-          close_s := !close_s +. (Unix.gettimeofday () -. t0);
-          digests := ingest_window_digest w :: !digests
-      | Error message -> failwith ("ingest: rejected statement: " ^ message))
-    trace;
-  let report = Server.finish server in
-  let digest =
-    Printf.sprintf "%s %d:%d:%d:%d:%d:%d:%d:%d:%d:%s"
-      (digest_of_list (List.rev !digests))
-      report.Server.statements report.Server.residual_statements
-      report.Server.drift_events report.Server.reoptimizations
-      report.Server.deployments report.Server.rejections report.Server.rollbacks
-      report.Server.exec_logical_io report.Server.trans_logical_io
-      (Design.name report.Server.final_design)
-  in
-  ( {
-      in_ingest_s = !ingest_s;
-      in_close_s = !close_s -. !oracle_s;
-      in_ingest_statements = !ingest_n;
-      in_statements = report.Server.statements;
-      in_exec_io = report.Server.exec_logical_io;
-      in_trans_io = report.Server.trans_logical_io;
-      in_template = Server.template_stats server;
-      in_plan = Cddpd_engine.Database.plan_cache_stats db;
-    },
-    report,
-    List.length !digests,
-    digest )
-
-(* The reference arm, timed between consecutive statements. *)
-let ingest_reference_arm report trace =
-  let db = ingest_db () in
-  let ingest_s = ref 0.0 and close_s = ref 0.0 and ingest_n = ref 0 in
-  let last = ref (Unix.gettimeofday ()) in
-  let on_text ~closed =
-    let now = Unix.gettimeofday () in
-    if closed then close_s := !close_s +. (now -. !last)
-    else begin
-      ingest_s := !ingest_s +. (now -. !last);
-      incr ingest_n
-    end;
-    last := now
-  in
-  match Reference.replay ~on_text db ingest_config report trace with
-  | Error e -> failwith ("ingest: served run differs from the reference replay: " ^ e)
-  | Ok r ->
-      {
-        in_ingest_s = !ingest_s;
-        in_close_s = !close_s;
-        in_ingest_statements = !ingest_n;
-        in_statements = r.Reference.statements;
-        in_exec_io = r.Reference.exec_logical_io;
-        in_trans_io = r.Reference.trans_logical_io;
-        in_template = None;
-        in_plan = Cddpd_engine.Database.plan_cache_stats db;
-      }
-
-let ingest_rate arm =
-  float_of_int arm.in_ingest_statements /. arm.in_ingest_s
-
-let ingest_suite () =
-  (* Instrumentation stays ENABLED: the window digests include what-if
-     call counts, which are silent otherwise.  Both arms carry the same
-     small accounting overhead. *)
-  let was_enabled = Obs.Registry.enabled () in
-  Obs.Registry.enable ();
-  Fun.protect
-    ~finally:(fun () -> if not was_enabled then Obs.Registry.disable ())
-  @@ fun () ->
-  let trace = ingest_trace () in
-  Printf.printf
-    "trace: %d windows x %d raw-SQL statements, %d pooled texts per phase, \
-     1-in-%d literal churn, phases %s\n%!"
-    (Array.length ingest_phases) ingest_window ingest_pool_size
-    ingest_churn_every
-    (String.concat "" (Array.to_list ingest_phases));
-  let fast, report, windows, digest = ingest_serve_arm trace in
-  if windows <> Array.length ingest_phases then
-    failwith "ingest: expected one closed window per phase entry";
-  let slow = ingest_reference_arm report trace in
-  let ratio = ingest_rate fast /. ingest_rate slow in
-  Printf.printf
-    "reference replay:  %d ingest statements in %.3fs (%.0f/s), window closes \
-     %.3fs\n%!"
-    slow.in_ingest_statements slow.in_ingest_s (ingest_rate slow)
-    slow.in_close_s;
-  Printf.printf
-    "served fast path:  %d ingest statements in %.3fs (%.0f/s), window closes \
-     %.3fs\n%!"
-    fast.in_ingest_statements fast.in_ingest_s (ingest_rate fast)
-    fast.in_close_s;
-  (match fast.in_template with
-  | Some t ->
-      Printf.printf
-        "template cache: %d exact hits, %d template hits, %d misses, %d \
-         skeletons\n%!"
-        t.Template.exact_hits t.Template.template_hits t.Template.misses
-        t.Template.templates
-  | None -> ());
-  Printf.printf
-    "plan memo: %d hits, %d misses, %d invalidations\n%!"
-    fast.in_plan.Plan_cache.hits fast.in_plan.Plan_cache.misses
-    fast.in_plan.Plan_cache.invalidations;
-  Printf.printf "window digest %s\n%!" digest;
-  Printf.printf
-    "\ningest throughput ratio: %.1fx (floor %.0fx), windows and report \
-     match the reference\n%!"
-    ratio ingest_min_ratio;
-  if ratio < ingest_min_ratio then
-    failwith
-      (Printf.sprintf
-         "ingest: fast/reference throughput ratio %.2fx below the %.0fx floor \
-          (%.0f/s vs %.0f/s)"
-         ratio ingest_min_ratio (ingest_rate fast) (ingest_rate slow));
-  (slow, fast, ratio)
-
-let write_ingest_json path (slow, fast, ratio) =
-  let arm_json a =
-    Printf.sprintf
-      "{\"statements\":%d,\"ingest_statements\":%d,\"ingest_wall_s\":%s,\
-       \"ingest_statements_per_s\":%s,\"close_wall_s\":%s,\
-       \"exec_logical_io\":%d,\"trans_logical_io\":%d,\
-       \"template_cache\":%s,\"plan_cache\":{\"hits\":%d,\"misses\":%d,\
-       \"invalidations\":%d,\"entries\":%d}}"
-      a.in_statements a.in_ingest_statements (json_float6 a.in_ingest_s)
-      (json_float (ingest_rate a))
-      (json_float6 a.in_close_s) a.in_exec_io a.in_trans_io
-      (match a.in_template with
-      | None -> "null"
-      | Some t ->
-          Printf.sprintf
-            "{\"exact_hits\":%d,\"template_hits\":%d,\"misses\":%d,\
-             \"templates\":%d,\"entries\":%d}"
-            t.Template.exact_hits t.Template.template_hits t.Template.misses
-            t.Template.templates t.Template.entries)
-      a.in_plan.Plan_cache.hits a.in_plan.Plan_cache.misses
-      a.in_plan.Plan_cache.invalidations a.in_plan.Plan_cache.entries
-  in
-  let oc = open_out path in
-  Printf.fprintf oc
-    "{\"schema\":\"cddpd-bench-ingest/1\",\"rows\":%d,\"value_range\":%d,\
-     \"window\":%d,\"pool\":%d,\"churn_every\":%d,\"phases\":\"%s\",\
-     \"jobs\":1,\"cores\":%d,\"fast\":%s,\"slow\":%s,\
-     \"throughput_ratio\":%s,\"min_ratio\":%s,\"digests_identical\":true}\n"
-    ingest_rows ingest_value_range ingest_window ingest_pool_size
-    ingest_churn_every
-    (String.concat "" (Array.to_list ingest_phases))
-    (Cddpd_util.Parallel.ncpu ())
-    (arm_json fast) (arm_json slow) (json_float ratio)
-    (json_float ingest_min_ratio);
-  close_out oc
+let banner title = Printf.printf "\n==== %s ====\n\n%!" title
+
+(* Honesty clamp: more domains than cores measures scheduler thrash, not
+   the code, so requested arms are capped at the machine. *)
+let clamp_jobs what j =
+  let cores = Parallel.ncpu () in
+  if j > cores then begin
+    Printf.printf "(%s clamped from %d to %d: %d core%s available)\n%!" what j cores cores
+      (if cores = 1 then "" else "s");
+    cores
+  end
+  else j
 
 let () =
-  let ({ experiments; config; metrics; obs_out; micro_out; solvers_out;
-         experiments_out = _; configspace_out = _; serve_out = _;
-         ingest_out = _; jobs; cell_jobs } as options) =
-    parse_args ()
-  in
-  (* Honesty clamp: more domains than cores measures scheduler thrash,
-     not the code, so requested arms are capped at the machine. *)
-  let clamp_jobs what j =
-    let cores = Cddpd_util.Parallel.ncpu () in
-    if j > cores then begin
-      Printf.printf "(%s clamped from %d to %d: %d core%s available)\n%!" what
-        j cores cores
-        (if cores = 1 then "" else "s");
-      cores
-    end
-    else j
-  in
+  let { names; config; metrics; out_dir; jobs; cell_jobs } = parse_args () in
   let jobs = Option.map (clamp_jobs "--jobs") jobs in
   let cell_jobs = Option.map (clamp_jobs "--cell-jobs") cell_jobs in
-  let options = { options with jobs; cell_jobs } in
-  (match jobs with
-  | Some j -> Cddpd_util.Parallel.set_default_jobs j
-  | None -> ());
-  (match cell_jobs with
-  | Some j -> Cddpd_experiments.Runner.set_default_cell_jobs j
-  | None -> ());
+  Option.iter Parallel.set_default_jobs jobs;
+  Option.iter Cddpd_experiments.Runner.set_default_cell_jobs cell_jobs;
   if metrics then Obs.Registry.enable ();
+  if not (Sys.file_exists out_dir) then Sys.mkdir out_dir 0o755;
   Printf.printf
-    "cddpd benchmark harness — rows=%d value_range=%d scale=%.2f seed=%d \
-     jobs=%d\n%!"
+    "cddpd benchmark harness — rows=%d value_range=%d scale=%.2f seed=%d jobs=%d\n%!"
     config.Setup.rows config.Setup.value_range config.Setup.scale config.Setup.seed
-    (match jobs with Some j -> j | None -> Cddpd_util.Parallel.default_jobs ());
-  let needs_session =
-    List.exists
-      (fun e ->
-        List.mem e [ "table2"; "figure3"; "figure4"; "ablation"; "updates"; "views"; "space"; "micro" ])
-      experiments
-  in
+    (Parallel.default_jobs ());
   let session =
-    if needs_session then begin
-      let t0 = Unix.gettimeofday () in
-      let s = Session.create config in
-      Printf.printf "(session loaded in %.1fs)\n%!" (Unix.gettimeofday () -. t0);
-      Some s
-    end
-    else None
-  in
-  let get_session () =
-    match session with Some s -> s | None -> failwith "session required"
+    lazy
+      (let session, load_s = Cddpd_util.Timer.time (fun () -> Session.create config) in
+       Printf.printf "(session loaded in %.1fs)\n%!" load_s;
+       session)
   in
   List.iter
-    (fun experiment ->
-      match experiment with
-      | "table1" ->
-          banner "Table 1: Workload Query Mixes";
-          Table1.print (Table1.run ())
-      | "table2" ->
-          banner "Table 2: Dynamic Workloads and Physical Designs";
-          Table2.print (Table2.run (get_session ()))
-      | "figure3" ->
-          banner "Figure 3: Relative Execution Times";
-          Figure3.print (Figure3.run (get_session ()))
-      | "figure4" ->
-          banner "Figure 4: Optimizer Runtimes";
-          Figure4.print (Figure4.run (get_session ()))
-      | "ablation" ->
-          banner "Ablation: solver comparison";
-          Ablation.print (Ablation.run (get_session ()))
-      | "updates" ->
-          banner "Updates ablation: queries and updates";
-          Updates.print (Updates.run (get_session ()))
-      | "views" ->
-          banner "Views: scheduling materialized views";
-          Views.print (Views.run (get_session ()))
-      | "space" ->
-          banner "Space bound: SIZE(C) <= b sweep";
-          Space_bound.print (Space_bound.run (get_session ()))
-      | "micro" ->
-          banner "Bechamel micro-benchmarks";
-          let rows = micro (get_session ()) in
-          let build_s = time_problem_build (get_session ()) in
-          Printf.printf "\nProblem.build median wall time: %.3fs (%d runs)\n%!"
-            build_s problem_build_runs;
-          write_micro_json micro_out ~options ~build_s rows;
-          Printf.printf "(wrote micro summary to %s)\n%!" micro_out
-      | "solvers" ->
-          banner "Solvers: constrained-solver scaling over large design spaces";
-          let entries = solvers_suite () in
-          write_solvers_json solvers_out entries;
-          Printf.printf "\n(wrote solver scaling baseline to %s)\n%!" solvers_out
-      | "experiments" ->
-          banner "Experiments: parallel cell runner + bulk load";
-          experiments_suite ~options ();
-          Printf.printf "\n(wrote experiment engine baseline to %s)\n%!"
-            options.experiments_out
-      | "configspace" ->
-          banner "Configspace: design-space scaling pipeline";
-          let entries = configspace_suite ~options () in
-          write_configspace_json options.configspace_out entries;
-          Printf.printf "\n(wrote design-space scaling baseline to %s)\n%!"
-            options.configspace_out
-      | "serve" ->
-          banner "Serve: incremental re-optimization across windows";
-          let arms = serve_suite () in
-          write_serve_json options.serve_out arms;
-          Printf.printf "\n(wrote incremental re-optimization baseline to %s)\n%!"
-            options.serve_out
-      | "ingest" ->
-          banner "Ingest: serve statement fast path";
-          let arms = ingest_suite () in
-          write_ingest_json options.ingest_out arms;
-          Printf.printf "\n(wrote ingest fast-path baseline to %s)\n%!"
-            options.ingest_out
-      | _ -> usage ())
-    experiments;
+    (fun name ->
+      match List.find_opt (fun s -> String.equal s.name name) suites with
+      | Some suite ->
+          banner suite.banner;
+          let path = Filename.concat out_dir suite.file in
+          Harness.write_json path (suite.run config session);
+          Printf.printf "\n(wrote %s)\n%!" path
+      | None ->
+          let _, title, run = List.find (fun (n, _, _) -> String.equal n name) artifacts in
+          banner title;
+          run session)
+    names;
   if metrics then begin
-    Obs.Sink.write_file obs_out Obs.Sink.Json_lines (Obs.Snapshot.capture ());
-    Printf.printf "\n(wrote metrics snapshot + span tree to %s)\n%!" obs_out
+    let path = Filename.concat out_dir "BENCH_obs.json" in
+    Obs.Sink.write_file path Obs.Sink.Json_lines (Obs.Snapshot.capture ());
+    Printf.printf "\n(wrote metrics snapshot + span tree to %s)\n%!" path
   end

@@ -258,9 +258,6 @@ let build ~params ~stats_of ~steps ~space ~initial ?(count_initial_change = fals
     match reuse with Some r -> r.Reuse.summary | None -> None
   in
   let design_keys = Array.map Cost_key.design designs in
-  (* Exec half of the next summary, assembled inside the compressed
-     branch (cluster table + per-design cluster costs). *)
-  let pending_exec_summary = ref None in
   (* EXEC matrix: one column per configuration, filled in parallel with a
      domain-local cache per chunk (columns share repeated statements, so
      chunking by configuration keeps the hit rate local).  Each cell is an
@@ -273,11 +270,13 @@ let build ~params ~stats_of ~steps ~space ~initial ?(count_initial_change = fals
   in
   Obs.Counter.add m_domains_used exec_jobs;
   let exec = Array.make_matrix n_steps n_configs 0.0 in
-  let locals =
+  (* With a session, the compressed branch also returns the exec half of
+     the next summary (cluster table + per-design cluster costs). *)
+  let locals, exec_summary =
     Obs.Span.with_span "problem.build.exec" @@ fun () ->
     if not compress_workload then
       (* cddpd-lint: allow domain-race — workers derive read-only domain-local caches via Cost_cache.create_local and merge after the join; obs counter and Switch writes are gated to the main domain by Switch.active *)
-      Parallel.map_chunks ~jobs:exec_jobs ~n:n_configs (fun ~lo ~hi ->
+      ( Parallel.map_chunks ~jobs:exec_jobs ~n:n_configs (fun ~lo ~hi ->
           let local = Cost_cache.create_local cache in
           for c = lo to hi - 1 do
             let design = designs.(c) in
@@ -296,7 +295,8 @@ let build ~params ~stats_of ~steps ~space ~initial ?(count_initial_change = fals
               exec.(s).(c) <- !acc
             done
           done;
-          local)
+          local),
+      None )
     else begin
       (* Compressed fill: cluster statements by cost identity once (the
          key already implies equal cost under every design), cost one
@@ -473,24 +473,26 @@ let build ~params ~stats_of ~steps ~space ~initial ?(count_initial_change = fals
          column's array — valid as a (design, cluster) cost table because
          the relevance classes were computed over exactly the statements
          these clusters represent. *)
-      (match reuse with
-      | None -> ()
-      | Some _ ->
-          let s_cluster_id_of = Hashtbl.create (max 16 n_clusters) in
-          Array.iteri (fun id k -> Hashtbl.replace s_cluster_id_of k id) cluster_keys;
-          let s_by_design = Hashtbl.create (max 16 n_configs) in
-          List.iter
-            (fun (c, costs) -> Hashtbl.replace s_by_design design_keys.(c) costs)
-            (List.concat_map snd results);
-          for c = 0 to n_configs - 1 do
-            let src = column_src.(c) in
-            if src <> c then
-              match Hashtbl.find_opt s_by_design design_keys.(src) with
-              | Some costs -> Hashtbl.replace s_by_design design_keys.(c) costs
-              | None -> ()
-          done;
-          pending_exec_summary := Some (s_cluster_id_of, s_by_design));
-      locals
+      let summary =
+        Option.map
+          (fun r ->
+            let s_cluster_id_of = Hashtbl.create (max 16 n_clusters) in
+            Array.iteri (fun id k -> Hashtbl.replace s_cluster_id_of k id) cluster_keys;
+            let s_by_design = Hashtbl.create (max 16 n_configs) in
+            List.iter
+              (fun (c, costs) -> Hashtbl.replace s_by_design design_keys.(c) costs)
+              (List.concat_map snd results);
+            for c = 0 to n_configs - 1 do
+              let src = column_src.(c) in
+              if src <> c then
+                match Hashtbl.find_opt s_by_design design_keys.(src) with
+                | Some costs -> Hashtbl.replace s_by_design design_keys.(c) costs
+                | None -> ()
+            done;
+            (r, s_cluster_id_of, s_by_design))
+          reuse
+      in
+      (locals, summary)
     end
   in
   List.iter (fun local -> Cost_cache.merge ~into:cache local) locals;
@@ -570,56 +572,51 @@ let build ~params ~stats_of ~steps ~space ~initial ?(count_initial_change = fals
           for i = lo to hi - 1 do
             let from_mask = masks.(i) in
             let row = trans.(i) in
-            let pi = match prev_of with Some p -> p.(i) | None -> -1 in
-            let prev_row = if pi >= 0 then Some prev_trans.(pi) else None in
+            let prev_row =
+              match prev_of with
+              | Some p when p.(i) >= 0 -> Some (p, prev_trans.(p.(i)))
+              | Some _ | None -> None
+            in
             for j = 0 to n_configs - 1 do
               if i <> j then begin
-                let pj =
-                  match (prev_row, prev_of) with
-                  | Some _, Some p -> p.(j)
-                  | _ -> -1
-                in
-                if pj >= 0 then begin
-                  (match prev_row with
-                  | Some prev_row -> row.(j) <- prev_row.(pj)
-                  | None -> assert false);
-                  incr copied
-                end
-                else begin
-                  let to_mask = masks.(j) in
-                  let removed = ref 0 in
-                  Buffer.clear key_buf;
-                  for w = 0 to words - 1 do
-                    let a = to_mask.(w) land lnot from_mask.(w) in
-                    added.(w) <- a;
-                    removed := !removed + popcount (from_mask.(w) land lnot to_mask.(w));
-                    Buffer.add_string key_buf (string_of_int a);
-                    Buffer.add_char key_buf ','
-                  done;
-                  let key = Buffer.contents key_buf in
-                  let build_sum =
-                    match Hashtbl.find_opt memo key with
-                    | Some v ->
-                        incr hits;
-                        v
-                    | None ->
-                        let acc = ref 0.0 in
-                        for w = 0 to words - 1 do
-                          let bits = ref added.(w) in
-                          let bit = ref (w * 63) in
-                          while !bits <> 0 do
-                            if !bits land 1 = 1 then acc := !acc +. build_cost.(!bit);
-                            bits := !bits lsr 1;
-                            incr bit
-                          done
-                        done;
-                        Hashtbl.replace memo key !acc;
-                        !acc
-                  in
-                  row.(j) <-
-                    build_sum
-                    +. (params.Cost_model.drop_cost *. float_of_int !removed)
-                end
+                match prev_row with
+                | Some (p, prev_row) when p.(j) >= 0 ->
+                    row.(j) <- prev_row.(p.(j));
+                    incr copied
+                | Some _ | None ->
+                    let to_mask = masks.(j) in
+                    let removed = ref 0 in
+                    Buffer.clear key_buf;
+                    for w = 0 to words - 1 do
+                      let a = to_mask.(w) land lnot from_mask.(w) in
+                      added.(w) <- a;
+                      removed := !removed + popcount (from_mask.(w) land lnot to_mask.(w));
+                      Buffer.add_string key_buf (string_of_int a);
+                      Buffer.add_char key_buf ','
+                    done;
+                    let key = Buffer.contents key_buf in
+                    let build_sum =
+                      match Hashtbl.find_opt memo key with
+                      | Some v ->
+                          incr hits;
+                          v
+                      | None ->
+                          let acc = ref 0.0 in
+                          for w = 0 to words - 1 do
+                            let bits = ref added.(w) in
+                            let bit = ref (w * 63) in
+                            while !bits <> 0 do
+                              if !bits land 1 = 1 then acc := !acc +. build_cost.(!bit);
+                              bits := !bits lsr 1;
+                              incr bit
+                            done
+                          done;
+                          Hashtbl.replace memo key !acc;
+                          !acc
+                    in
+                    row.(j) <-
+                      build_sum
+                      +. (params.Cost_model.drop_cost *. float_of_int !removed)
               end
             done
           done;
@@ -639,27 +636,21 @@ let build ~params ~stats_of ~steps ~space ~initial ?(count_initial_change = fals
   (* Hand the completed state to the session: the next build reuses this
      one's cluster costs and TRANS entries as long as keys match and the
      statistics fingerprints below still hold. *)
-  (match reuse with
+  (match exec_summary with
   | None -> ()
-  | Some r -> (
+  | Some (r, s_cluster_id_of, s_by_design) ->
       r.Reuse.t_builds <- r.Reuse.t_builds + 1;
-      match !pending_exec_summary with
-      | None -> ()
-      | Some (s_cluster_id_of, s_by_design) ->
-          let s_id_of_design = Hashtbl.create (max 16 n_configs) in
-          Array.iteri (fun c dk -> Hashtbl.replace s_id_of_design dk c) design_keys;
-          let s_fingerprints = Hashtbl.create 8 in
-          (if Hashtbl.length fp_tbl > 0 then
-             (* cddpd-lint: allow determinism — keyed copy into a fresh table; each key is visited once *)
-             Hashtbl.iter (fun t fp -> Hashtbl.replace s_fingerprints t fp) fp_tbl
-           else
-             (* cddpd-lint: allow determinism — keyed copy into a fresh table; each key is visited once *)
-             Hashtbl.iter
-               (fun t stats ->
-                 Hashtbl.replace s_fingerprints t (Table_stats.fingerprint stats))
-               stats_tbl);
-          r.Reuse.summary <-
-            Some { s_cluster_id_of; s_by_design; s_id_of_design; s_trans = trans; s_fingerprints }));
+      let s_id_of_design = Hashtbl.create (max 16 n_configs) in
+      Array.iteri (fun c dk -> Hashtbl.replace s_id_of_design dk c) design_keys;
+      r.Reuse.summary <-
+        Some
+          {
+            s_cluster_id_of;
+            s_by_design;
+            s_id_of_design;
+            s_trans = trans;
+            s_fingerprints = fp_tbl;
+          });
   Cost_cache.publish_obs cache;
   make_t ~steps ~space ~initial:initial_id ~exec ~trans ~count_initial_change
 

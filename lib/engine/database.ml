@@ -718,12 +718,14 @@ let plan_cache_stats t = Plan_cache.stats t.plan_cache
 
 let execute ?statement_key ?(skip_check = false) t statement =
   if not skip_check then Check.statement_exn (tables t) statement;
-  (* A DELETE/UPDATE plans its find phase on current statistics; bring them
-     up to date before the meters start, since maintaining statistics is
-     not the statement's own I/O. *)
+  (* Every statement but INSERT plans on current statistics; bring them up
+     to date before the meters start, since maintaining statistics is not
+     the statement's own I/O. *)
   (match statement with
-  | Ast.Delete { table; _ } | Ast.Update { table; _ } -> ignore (table_stats t table)
-  | Ast.Select _ | Ast.Select_agg _ | Ast.Insert _ -> ());
+  | Ast.Insert _ -> ()
+  | Ast.Select { table; _ } | Ast.Select_agg { table; _ } | Ast.Delete { table; _ }
+  | Ast.Update { table; _ } ->
+      ignore (table_stats t table));
   let logical_before = pool_accesses t in
   let physical_before = disk_reads t in
   let rows, affected, plan =

@@ -67,12 +67,11 @@ val table_stats : t -> string -> Table_stats.t
     column (up to half as much again as spare capacity after INSERTs
     grow them), for as long as the database lives.
 
-    A DELETE or UPDATE that finds the statistics stale refreshes them
-    before its I/O meters start: the refresh is not billed to the
+    Every statement but INSERT that finds the statistics stale refreshes
+    them before its I/O meters start: the refresh is not billed to the
     statement's [logical_io].  Only the first collection reads pages, so
-    this matters only when such a statement is the first to read
-    statistics after {!create} or {!load}; a SELECT there still bills
-    that scan to itself. *)
+    this matters only for the first statement to read statistics after
+    {!create} or {!load}. *)
 
 val stats_generation : t -> string -> int
 (** The table's statistics generation: bumped by every invalidation (DML,

@@ -836,7 +836,13 @@ let test_dml_io_ignores_stale_stats () =
       Alcotest.(check int) (sql ^ ": stale after DML")
         (dml_io ~fresh:true ~after_insert:true sql)
         (dml_io ~fresh:false ~after_insert:true sql))
-    [ "UPDATE t SET b = 7 WHERE a = 3"; "DELETE FROM t WHERE c = 5"; "UPDATE t SET a = 1 WHERE d < 4" ]
+    [
+      "UPDATE t SET b = 7 WHERE a = 3";
+      "DELETE FROM t WHERE c = 5";
+      "UPDATE t SET a = 1 WHERE d < 4";
+      "SELECT b FROM t WHERE a = 3";
+      "SELECT a, COUNT(*) FROM t GROUP BY a";
+    ]
 
 (* Failure-injection-adjacent stress: a buffer pool far smaller than the
    working set forces eviction on every scan; answers must not change and

@@ -1,9 +1,9 @@
 (* Tests for cddpd_lint (tools/lint): each rule gets a positive hit, a
-   clean pass and a waiver case on inline fixture snippets; R5/R6 run
-   through the driver on temporary fixture trees (including the
-   deliberate catalogue desync the acceptance criteria ask for); and a
-   final smoke test lints the real repository, asserting zero unwaived
-   findings at HEAD. *)
+   clean pass and a waiver case on inline fixture snippets (R1/R2 through
+   the typed pass on in-process typechecked fixtures); R5/R6 run through
+   the driver on temporary fixture trees (including a deliberate
+   catalogue desync); and a final smoke test lints the real repository,
+   asserting zero unwaived findings at HEAD. *)
 
 module L = Cddpd_lint_core.Lint_types
 module Config = Cddpd_lint_core.Lint_config
@@ -29,10 +29,31 @@ let hits rule (t : Rules.t) =
     (fun (f : L.finding) -> f.rule = rule && not f.waived)
     t.findings
 
-let waived_hits rule (t : Rules.t) =
-  List.filter (fun (f : L.finding) -> f.rule = rule && f.waived) t.findings
-
 let count = List.length
+
+(* -- typed fixtures -------------------------------------------------------- *)
+
+let typecheck_exn ~path source =
+  match Cmt_loader.typecheck ~path source with
+  | Ok str -> str
+  | Error msg -> Alcotest.failf "fixture does not typecheck: %s" msg
+
+let typed_findings ?(modname = "A") ~path source =
+  let str = typecheck_exn ~path source in
+  let types = Type_safety.create () in
+  Type_safety.register_module types ~modname str;
+  Typed_rules.run ~config:Config.default ~types ~path ~modname str
+
+(* The typed pass over one fixture, waivers applied as the driver does. *)
+let typed_check ?(path = "lib/x/a.ml") source =
+  let _, findings = typed_findings ~path source in
+  Waiver.apply (Waiver.scan source) findings
+
+let typed_hits rule findings =
+  List.filter (fun (f : L.finding) -> f.rule = rule && not f.waived) findings
+
+let typed_waived rule findings =
+  List.filter (fun (f : L.finding) -> f.rule = rule && f.waived) findings
 
 (* -- fixture trees for the driver-level rules ----------------------------- *)
 
@@ -61,49 +82,62 @@ let with_tree files f =
       List.iter (fun (rel, content) -> write_file (Filename.concat root rel) content) files;
       f root)
 
+(* Write [source] as lib/x/a.ml under [root], typecheck it and save its
+   cmt where dune would put it for a library [x]. *)
+let plant_cmt root ~source =
+  let src_path = Filename.concat root "lib/x/a.ml" in
+  write_file src_path source;
+  let str = typecheck_exn ~path:"lib/x/a.ml" source in
+  let cmt_path =
+    Filename.concat root "_build/default/lib/x/.x.objs/byte/x__A.cmt"
+  in
+  Cmt_loader.save_cmt ~cmt_path ~modname:"A" ~sourcefile:src_path str
+
 (* -- R1 poly-hash --------------------------------------------------------- *)
 
 let test_poly_hash () =
-  let bad = check_source ~path:"lib/x/a.ml" "let f x = Hashtbl.hash x\n" in
-  Alcotest.(check int) "Hashtbl.hash flagged" 1 (count (hits L.Poly_hash bad));
-  let create = check_source ~path:"lib/x/a.ml" "let t = ()\nlet u = Hashtbl.create 4\n" in
-  Alcotest.(check int) "default-hash create flagged" 1 (count (hits L.Poly_hash create));
+  let bad = typed_check "let f x = Hashtbl.hash x\n" in
+  Alcotest.(check int) "Hashtbl.hash at a type variable flagged" 1
+    (count (typed_hits L.Poly_hash bad));
+  let create = typed_check "let u : (float, int) Hashtbl.t = Hashtbl.create 4\n" in
+  Alcotest.(check int) "float-keyed default-hash create flagged" 1
+    (count (typed_hits L.Poly_hash create));
   let make =
-    check_source ~path:"lib/x/a.ml"
-      "module H = Hashtbl.Make (String)\nlet u = H.create 4\n"
+    typed_check "module H = Hashtbl.Make (String)\nlet u : int H.t = H.create 4\n"
   in
-  Alcotest.(check int) "Hashtbl.Make table clean" 0 (count (hits L.Poly_hash make));
-  let whitelisted = check_source ~path:"lib/engine/cost_cache.ml" "let u = Hashtbl.create 4\n" in
-  Alcotest.(check int) "whitelisted module clean" 0 (count (hits L.Poly_hash whitelisted));
+  Alcotest.(check int) "Hashtbl.Make table clean" 0 (count (typed_hits L.Poly_hash make));
+  let string_keys = typed_check "let u : (string, int) Hashtbl.t = Hashtbl.create 4\n" in
+  Alcotest.(check int) "string-keyed table clean" 0
+    (count (typed_hits L.Poly_hash string_keys));
   let waived =
-    check_source ~path:"lib/x/a.ml"
-      "(* cddpd-lint: allow poly-hash -- string keys *)\nlet u = Hashtbl.create 4\n"
+    typed_check
+      "(* cddpd-lint: allow poly-hash -- audited key *)\n\
+       let u : (float, int) Hashtbl.t = Hashtbl.create 4\n"
   in
-  Alcotest.(check int) "waiver absorbs the hit" 0 (count (hits L.Poly_hash waived));
+  Alcotest.(check int) "waiver absorbs the hit" 0 (count (typed_hits L.Poly_hash waived));
   Alcotest.(check int) "waived finding still reported" 1
-    (count (waived_hits L.Poly_hash waived))
+    (count (typed_waived L.Poly_hash waived))
 
 (* -- R2 poly-compare ------------------------------------------------------ *)
 
 let test_poly_compare () =
-  let bare = check_source ~path:"lib/engine/a.ml" "let f xs = List.sort compare xs\n" in
-  Alcotest.(check int) "bare compare flagged" 1 (count (hits L.Poly_compare bare));
-  let float_eq = check_source ~path:"lib/core/a.ml" "let f x = x = 0.0\n" in
-  Alcotest.(check int) "float (=) flagged" 1 (count (hits L.Poly_compare float_eq));
-  let float_arith = check_source ~path:"lib/graph/a.ml" "let f a b c = a +. b <> c\n" in
+  let bare = typed_check "let f xs = List.sort compare xs\n" in
+  Alcotest.(check int) "compare at a type variable flagged" 1
+    (count (typed_hits L.Poly_compare bare));
+  let float_eq = typed_check "let f x = x = 0.0\n" in
+  Alcotest.(check int) "float (=) flagged" 1 (count (typed_hits L.Poly_compare float_eq));
+  let float_arith = typed_check "let f a b c = a +. b <> c\n" in
   Alcotest.(check int) "float arithmetic operand flagged" 1
-    (count (hits L.Poly_compare float_arith));
-  let int_eq = check_source ~path:"lib/core/a.ml" "let f x = x = 3\n" in
-  Alcotest.(check int) "int (=) not flagged" 0 (count (hits L.Poly_compare int_eq));
-  let typed = check_source ~path:"lib/engine/a.ml" "let f xs = List.sort Int.compare xs\n" in
-  Alcotest.(check int) "Int.compare clean" 0 (count (hits L.Poly_compare typed));
-  let cold = check_source ~path:"lib/workload/a.ml" "let f xs = List.sort compare xs\n" in
-  Alcotest.(check int) "outside hot dirs not flagged" 0 (count (hits L.Poly_compare cold));
+    (count (typed_hits L.Poly_compare float_arith));
+  let int_eq = typed_check "let f x = x = 3\n" in
+  Alcotest.(check int) "int (=) not flagged" 0 (count (typed_hits L.Poly_compare int_eq));
+  let typed = typed_check "let f xs = List.sort Int.compare xs\n" in
+  Alcotest.(check int) "Int.compare clean" 0 (count (typed_hits L.Poly_compare typed));
   let waived =
-    check_source ~path:"lib/engine/a.ml"
-      "let f x = x = 0.0 (* cddpd-lint: allow poly-compare -- exact sentinel *)\n"
+    typed_check "let f x = x = 0.0 (* cddpd-lint: allow poly-compare -- exact sentinel *)\n"
   in
-  Alcotest.(check int) "same-line waiver absorbs" 0 (count (hits L.Poly_compare waived))
+  Alcotest.(check int) "same-line waiver absorbs" 0
+    (count (typed_hits L.Poly_compare waived))
 
 (* -- R3 domain-unsafe-state ----------------------------------------------- *)
 
@@ -320,15 +354,13 @@ let test_obs_sync_span () =
 
 let test_each_rule_fires_through_driver () =
   with_tree
-    [
-      ( "lib/x/a.ml",
-        "let t = Hashtbl.create 4\nlet f x = Hashtbl.hash x\nlet () = print_endline \"boo\"\n"
-      );
-      ("lib/core/hot.ml", "let f xs = List.sort compare xs\n");
-      ("lib/core/hot.mli", "val f : int list -> int list\n");
-      ("docs/OBSERVABILITY.md", "## Metric catalogue\n\n| `ghost.metric` | counter |\n");
-    ]
+    [ ("docs/OBSERVABILITY.md", "## Metric catalogue\n\n| `ghost.metric` | counter |\n") ]
     (fun root ->
+      plant_cmt root
+        ~source:
+          "let t : (float, int) Hashtbl.t = Hashtbl.create 4\n\
+           let f xs = List.sort compare xs\n\
+           let () = print_endline \"boo\"\n";
       let config = { Config.default with domain_state_dirs = Some [ "lib" ] } in
       let report = Driver.run ~config ~root () in
       let rules_hit =
@@ -349,10 +381,10 @@ let test_each_rule_fires_through_driver () =
 
 let test_rule_toggles () =
   with_tree
-    [ ("lib/x/a.ml", "let f x = Hashtbl.hash x\nlet g = ref 0\n");
-      ("lib/x/a.mli", "val f : 'a -> int\nval g : int ref\n");
+    [ ("lib/x/a.mli", "val f : 'a -> int\nval g : int ref\n");
       ("docs/OBSERVABILITY.md", "# empty\n") ]
     (fun root ->
+      plant_cmt root ~source:"let f x = Hashtbl.hash x\nlet g = ref 0\n";
       let config =
         Config.restrict { Config.default with domain_state_dirs = Some [] } [ L.Poly_hash ]
       in
@@ -392,22 +424,6 @@ let test_dune_scan () =
 
 (* -- cmt loader: locate, validate, fall back -------------------------------- *)
 
-let typecheck_exn ~path source =
-  match Cmt_loader.typecheck ~path source with
-  | Ok str -> str
-  | Error msg -> Alcotest.failf "fixture does not typecheck: %s" msg
-
-(* Typecheck [source], save its cmt where dune would put it for a
-   library [x] in lib/x/, and return the tree root. *)
-let plant_cmt root ~source =
-  let src_path = Filename.concat root "lib/x/a.ml" in
-  write_file src_path source;
-  let str = typecheck_exn ~path:"lib/x/a.ml" source in
-  let cmt_path =
-    Filename.concat root "_build/default/lib/x/.x.objs/byte/x__A.cmt"
-  in
-  Cmt_loader.save_cmt ~cmt_path ~modname:"A" ~sourcefile:src_path str
-
 let test_cmt_loader () =
   with_tree [] (fun root ->
       let source = "let answer = 42\n" in
@@ -445,12 +461,6 @@ let test_strip_mangling () =
     (Type_safety.normalize_name "Cddpd_engine__Cost_cache.t")
 
 (* -- typed R1/R2: the instantiated type decides ----------------------------- *)
-
-let typed_findings ?(modname = "A") ~path source =
-  let str = typecheck_exn ~path source in
-  let types = Type_safety.create () in
-  Type_safety.register_module types ~modname str;
-  Typed_rules.run ~config:Config.default ~types ~path ~modname str
 
 let test_typed_poly () =
   let _, findings =
@@ -656,33 +666,36 @@ let test_baseline_diff () =
   Alcotest.(check int) "one shrunk entry to regenerate away" 1
     (count shrunk.Baseline.shrunk)
 
-(* -- fallback findings are advisory through the driver ----------------------- *)
+(* -- a file the typed rules cannot see blocks the run ------------------------ *)
 
-let test_fallback_advisory () =
+let test_missing_cmt_blocks () =
   with_tree
-    [
-      ("lib/x/a.ml", "let t = Hashtbl.create 4\n");
-      ("lib/x/a.mli", "val t : (int, int) Hashtbl.t\n");
-      ("docs/OBSERVABILITY.md", "# empty\n");
-    ]
+    [ ("lib/x/a.mli", "val t : (int, int) Hashtbl.t\n"); ("docs/OBSERVABILITY.md", "# empty\n") ]
     (fun root ->
-      (* typed engine on, but the fixture tree has no _build: every file
-         falls back and R1 degrades to advisory *)
+      let source = "let t : (int, int) Hashtbl.t = Hashtbl.create 4\n" in
       let config = { Config.default with domain_state_dirs = Some [] } in
+      let missing report =
+        List.filter (fun (f : L.finding) -> f.rule = L.Missing_cmt) (Driver.blocking report)
+      in
+      write_file (Filename.concat root "lib/x/a.ml") source;
       let report = Driver.run ~config ~root () in
       Alcotest.(check int) "nothing typed without cmts" 0 report.typed_files;
-      Alcotest.(check bool) "fallback recorded with a reason" true
-        (List.exists (fun (f, _) -> f = "lib/x/a.ml") report.fallbacks);
-      Alcotest.(check int) "R1 fallback finding is advisory" 1
-        (count (Driver.advisory report));
-      Alcotest.(check int) "advisory findings never block" 0
-        (count (Driver.blocking report));
-      (* --no-typed restores the strict syntactic behaviour *)
-      let report =
-        Driver.run ~config:{ config with Config.typed = false } ~root ()
-      in
-      Alcotest.(check int) "syntactic mode blocks again" 1
-        (count (Driver.blocking report)))
+      (match missing report with
+      | [ f ] ->
+          Alcotest.(check string) "the finding names the file" "lib/x/a.ml" f.file;
+          Alcotest.(check bool) "and says how to produce the cmt" true
+            (let needle = "dune build @check" in
+             let n = String.length needle and m = String.length f.message in
+             let rec go i = i + n <= m && (String.sub f.message i n = needle || go (i + 1)) in
+             go 0)
+      | fs -> Alcotest.failf "expected one blocking missing-cmt finding, got %d" (List.length fs));
+      plant_cmt root ~source;
+      let report = Driver.run ~config ~root () in
+      Alcotest.(check int) "a fresh cmt is analyzed" 1 report.typed_files;
+      Alcotest.(check int) "and clears the finding" 0 (count (missing report));
+      write_file (Filename.concat root "lib/x/a.ml") (source ^ "let more = 1\n");
+      let report = Driver.run ~config ~root () in
+      Alcotest.(check int) "a stale cmt blocks again" 1 (count (missing report)))
 
 (* -- the real repository lints clean at HEAD -------------------------------- *)
 
@@ -750,7 +763,7 @@ let () =
           Alcotest.test_case "R8 determinism" `Quick test_determinism;
           Alcotest.test_case "baseline roundtrip" `Quick test_baseline_roundtrip;
           Alcotest.test_case "baseline diff" `Quick test_baseline_diff;
-          Alcotest.test_case "fallback is advisory" `Quick test_fallback_advisory;
+          Alcotest.test_case "missing cmt blocks" `Quick test_missing_cmt_blocks;
         ] );
       ( "driver",
         [

@@ -32,7 +32,6 @@ let () =
   let disabled = ref [] in
   let show_waived = ref false in
   let list_rules = ref false in
-  let no_typed = ref false in
   let baseline_file = ref None in
   let write_baseline = ref None in
   let spec =
@@ -51,9 +50,6 @@ let () =
         Arg.String
           (fun s -> disabled := !disabled @ parse_rule_list ~flag:"--disable" s),
         "LIST turn these rules off" );
-      ( "--no-typed",
-        Arg.Set no_typed,
-        " skip cmt loading; syntactic R1/R2 become blocking again" );
       ( "--baseline",
         Arg.String (fun f -> baseline_file := Some f),
         "FILE enforce the waived-finding ratchet against FILE" );
@@ -77,8 +73,7 @@ let () =
   let config =
     let c = Config.default in
     let c = match !only with Some rules -> Config.restrict c rules | None -> c in
-    let c = Config.disable c !disabled in
-    if !no_typed then { c with Config.typed = false } else c
+    Config.disable c !disabled
   in
   match Driver.run ~config ~root:!root () with
   | exception e ->

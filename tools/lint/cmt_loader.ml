@@ -26,8 +26,8 @@ type status =
 
 let status_reason = function
   | Loaded _ -> "loaded"
-  | Missing -> "no cmt artifact (build first: dune build)"
-  | Stale p -> Printf.sprintf "stale cmt %s (rebuild: dune build)" p
+  | Missing -> "no cmt artifact"
+  | Stale p -> Printf.sprintf "stale cmt %s" p
   | Unreadable m -> Printf.sprintf "unreadable cmt: %s" m
 
 let short_modname = Type_safety.strip_mangling

@@ -17,7 +17,7 @@ type status =
   | Unreadable of string  (** a cmt exists but could not be loaded *)
 
 val status_reason : status -> string
-(** Human-readable explanation for the fallback report. *)
+(** Human-readable explanation for the missing-cmt finding. *)
 
 val find :
   root:string -> build_dirs:string list -> path:string -> source:string -> status

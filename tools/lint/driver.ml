@@ -1,14 +1,13 @@
-(* The lint driver: walks the tree, loads each file's cmt (typed mode),
-   runs the typed per-file pass plus the syntactic AST pass, solves the
-   interprocedural race analysis, runs the filesystem rule (R5) and the
-   catalogue cross-check (R6), and renders reports.
+(* The lint driver: walks the tree, loads each file's cmt, runs the typed
+   per-file pass plus the syntactic AST pass, solves the interprocedural
+   race analysis, runs the filesystem rule (R5) and the catalogue
+   cross-check (R6), and renders reports.
 
-   Typed mode per file: a fresh cmt gives exact R1/R2 and feeds the R7
-   extract; files with a missing/stale cmt fall back to the syntactic
-   R1/R2 heuristics *as advisory findings* — reported, never blocking —
-   so a cmt-less checkout cannot fail on heuristic noise while a full
-   build still gets the exact analysis.  The exit-code policy lives in
-   the executable: a run is clean iff [blocking] is empty. *)
+   A file whose cmt is missing or stale cannot get the typed rules, so it
+   yields one blocking [Missing_cmt] finding instead; [dune build @lint]
+   runs [@check] first, which leaves a fresh cmt for every module.  The
+   exit-code policy lives in the executable: a run is clean iff
+   [blocking] is empty. *)
 
 module L = Lint_types
 
@@ -18,7 +17,6 @@ type report = {
   findings : L.finding list;  (** every finding, waived ones included *)
   files_scanned : int;
   typed_files : int;  (** files analyzed from a fresh cmt *)
-  fallbacks : (string * string) list;  (** path, reason cmt was unusable *)
   obs_dynamic : int;
   r3_dirs : string list;
   warnings : string list;
@@ -71,9 +69,8 @@ let run ?(config = Lint_config.default) ~root () =
   let files =
     List.concat_map (fun dir -> ml_files ~root dir) config.scan_dirs
   in
-  (* Pass 1: read each file, resolve its cmt, run the syntactic rules
-     with the poly mode the cmt status dictates. *)
-  let fallbacks = ref [] in
+  (* Pass 1: read each file, resolve its cmt, run the syntactic rules. *)
+  let missing_cmt = ref [] in
   let per_file =
     List.filter_map
       (fun rel ->
@@ -82,26 +79,26 @@ let run ?(config = Lint_config.default) ~root () =
             warnings := Printf.sprintf "cannot read %s; skipped" rel :: !warnings;
             None
         | Some source ->
-            let cmt =
-              if config.typed then
+            let loaded =
+              match
                 Cmt_loader.find ~root ~build_dirs:config.build_dirs ~path:rel
                   ~source
-              else Cmt_loader.Missing
-            in
-            let loaded, poly =
-              match cmt with
-              | Cmt_loader.Loaded l -> (Some l, `Off)
+              with
+              | Cmt_loader.Loaded l -> Some l
               | status ->
-                  if config.typed then
-                    fallbacks :=
-                      (rel, Cmt_loader.status_reason status) :: !fallbacks;
-                  (None, if config.typed then `Fallback else `Blocking)
+                  missing_cmt :=
+                    L.finding ~file:rel ~line:1 ~rule:L.Missing_cmt
+                      (Printf.sprintf
+                         "%s, so the typed rules cannot check this file; run \
+                          `dune build @check` first"
+                         (Cmt_loader.status_reason status))
+                    :: !missing_cmt;
+                  None
             in
-            let ast = Rules.check_source ~config ~r3_dirs ~poly ~path:rel source in
+            let ast = Rules.check_source ~config ~r3_dirs ~path:rel source in
             Some (rel, source, ast, loaded))
       files
   in
-  let fallbacks = List.rev !fallbacks in
   (* Pass 2: repo-wide type declaration table, then the typed per-file
      pass (exact R1/R2 + the R7 extract for each cmt-backed module). *)
   let types = Type_safety.create () in
@@ -195,8 +192,8 @@ let run ?(config = Lint_config.default) ~root () =
   in
   let findings =
     List.sort L.compare_findings
-      (typed_findings @ race_findings @ ast_findings @ mli_findings
-     @ obs_findings)
+      (!missing_cmt @ typed_findings @ race_findings @ ast_findings
+     @ mli_findings @ obs_findings)
   in
   let obs_dynamic =
     List.fold_left
@@ -209,7 +206,6 @@ let run ?(config = Lint_config.default) ~root () =
     findings;
     files_scanned = List.length per_file;
     typed_files;
-    fallbacks;
     obs_dynamic;
     r3_dirs;
     warnings = List.rev !warnings;
@@ -221,11 +217,6 @@ let unwaived report =
 let waived report = List.filter (fun (f : L.finding) -> f.waived) report.findings
 
 let blocking report = List.filter L.blocking report.findings
-
-let advisory report =
-  List.filter
-    (fun (f : L.finding) -> (not f.waived) && L.advisory f)
-    report.findings
 
 let render_text ?(show_waived = false) report =
   let buf = Buffer.create 1024 in
@@ -239,29 +230,20 @@ let render_text ?(show_waived = false) report =
         Buffer.add_char buf '\n'
       end)
     report.findings;
-  if report.config.typed && report.fallbacks <> [] then
-    Buffer.add_string buf
-      (Printf.sprintf
-         "note: %d file(s) without a usable cmt analyzed syntactically \
-          (advisory): %s\n"
-         (List.length report.fallbacks)
-         (String.concat ", " (List.map fst report.fallbacks)));
   Buffer.add_string buf
     (Printf.sprintf
-       "cddpd-lint: %d file(s) scanned (%d typed, %d fallback), %d finding(s) \
-        (%d waived, %d advisory, %d blocking)\n"
+       "cddpd-lint: %d file(s) scanned (%d typed), %d finding(s) (%d waived, \
+        %d blocking)\n"
        report.files_scanned report.typed_files
-       (List.length report.fallbacks)
        (List.length report.findings)
        (List.length (waived report))
-       (List.length (advisory report))
        (List.length (blocking report)));
   Buffer.contents buf
 
 let render_json report =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf "{\n";
-  Buffer.add_string buf "  \"schema\": \"cddpd-lint/2\",\n";
+  Buffer.add_string buf "  \"schema\": \"cddpd-lint/3\",\n";
   Buffer.add_string buf
     (Printf.sprintf "  \"root\": \"%s\",\n" (L.json_escape report.root));
   Buffer.add_string buf
@@ -278,14 +260,6 @@ let render_json report =
     (Printf.sprintf "  \"files_scanned\": %d,\n" report.files_scanned);
   Buffer.add_string buf
     (Printf.sprintf "  \"typed_files\": %d,\n" report.typed_files);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"fallbacks\": [%s],\n"
-       (String.concat ", "
-          (List.map
-             (fun (path, reason) ->
-               Printf.sprintf "{\"file\": \"%s\", \"reason\": \"%s\"}"
-                 (L.json_escape path) (L.json_escape reason))
-             report.fallbacks)));
   Buffer.add_string buf
     (Printf.sprintf "  \"obs_dynamic_names\": %d,\n" report.obs_dynamic);
   Buffer.add_string buf
@@ -305,11 +279,9 @@ let render_json report =
   Buffer.add_string buf "  ],\n";
   Buffer.add_string buf
     (Printf.sprintf
-       "  \"summary\": {\"total\": %d, \"waived\": %d, \"advisory\": %d, \
-        \"blocking\": %d}\n"
+       "  \"summary\": {\"total\": %d, \"waived\": %d, \"blocking\": %d}\n"
        (List.length report.findings)
        (List.length (waived report))
-       (List.length (advisory report))
        (List.length (blocking report)));
   Buffer.add_string buf "}\n";
   Buffer.contents buf

@@ -2,9 +2,9 @@
     typed pass (exact R1/R2, the R7 extract) and the syntactic rules,
     solve the interprocedural race analysis, render the report.
 
-    Files whose cmt is missing or stale are analyzed with the syntactic
-    R1/R2 heuristics as *advisory* findings — reported but never
-    blocking.  The run is clean iff {!blocking} is empty — the
+    A file whose cmt is missing or stale yields one blocking
+    [Missing_cmt] finding naming the file (build with [dune build
+    @check] first).  The run is clean iff {!blocking} is empty — the
     executable turns that into the exit code. *)
 
 type report = {
@@ -13,8 +13,6 @@ type report = {
   findings : Lint_types.finding list;  (** sorted; waived ones included *)
   files_scanned : int;
   typed_files : int;  (** files analyzed from a fresh cmt *)
-  fallbacks : (string * string) list;
-      (** (path, reason) for files whose cmt was missing/stale/unreadable *)
   obs_dynamic : int;
       (** Obs constructor calls with non-literal names, uncheckable by R6 *)
   r3_dirs : string list;  (** resolved domain-unsafe-state scope *)
@@ -25,19 +23,16 @@ val run : ?config:Lint_config.t -> root:string -> unit -> report
 (** Lint the tree rooted at [root] (the repository checkout). *)
 
 val unwaived : report -> Lint_types.finding list
-(** Findings without a waiver, advisory ones included. *)
+(** Findings without a waiver. *)
 
 val waived : report -> Lint_types.finding list
 
 val blocking : report -> Lint_types.finding list
-(** Unwaived, non-advisory findings — these fail the run. *)
-
-val advisory : report -> Lint_types.finding list
-(** Unwaived fallback findings — reported, never fail the run. *)
+(** Unwaived findings — these fail the run. *)
 
 val render_text : ?show_waived:bool -> report -> string
 (** One [file:line: [rule-id] message] line per unwaived finding (all
     findings with [show_waived]), then a summary line. *)
 
 val render_json : report -> string
-(** The machine-readable report (schema ["cddpd-lint/2"]) CI archives. *)
+(** The machine-readable report (schema ["cddpd-lint/3"]) CI archives. *)
