@@ -1,7 +1,8 @@
 (* Bechamel micro-benchmarks, one per paper artifact plus the SQL front
-   end, and the median wall time of the session's Problem.build under the
-   current --jobs: BENCH_micro.json.  The micros run with instrumentation
-   off so their timings are comparable run to run whatever the flags. *)
+   end and the storage scan walks, and the median wall time of the
+   session's Problem.build under the current --jobs: BENCH_micro.json.
+   The micros run with instrumentation off so their timings are
+   comparable run to run whatever the flags. *)
 
 module Setup = Cddpd_experiments.Setup
 module Session = Cddpd_experiments.Session
@@ -119,6 +120,44 @@ let micros (session : Session.t) =
                   Cddpd_engine.Mat_view.apply_insert view
                     (Array.init 4 (fun _ -> Storage.Tuple.Int (Rng.int rng 50)))
                 done));
+        Test.make ~name:"storage/heap-scan-104p-pool24-hot20"
+          (Staged.stage
+             (* The update-mix shape: a 10,000-row 4-int heap (104 pages)
+                scanned through a 24-frame pool in which 20 referenced
+                pages, touched before every scan, leave 4 frames to the
+                scan and its readahead. *)
+             (let disk = Storage.Disk.create () in
+              let pool = Storage.Buffer_pool.create ~capacity:24 disk in
+              let heap = Storage.Heap_file.create pool in
+              let rng = Rng.create 3 in
+              for _ = 1 to 10_000 do
+                ignore
+                  (Storage.Heap_file.insert heap
+                     (Array.init 4 (fun _ -> Storage.Tuple.Int (Rng.int rng 2000))))
+              done;
+              let hot = Array.init 20 (fun _ -> Storage.Disk.allocate disk) in
+              fun () ->
+                Array.iter
+                  (fun pid ->
+                    Storage.Buffer_pool.unpin pool (Storage.Buffer_pool.fetch pool pid))
+                  hot;
+                let rows = ref 0 in
+                Storage.Heap_file.iter_slices heap (fun ~page:_ ~slot:_ _buf _base ->
+                    incr rows);
+                assert (!rows = 10_000)));
+        Test.make ~name:"storage/btree-range-10k-4int"
+          (Staged.stage
+             (let keys = Array.init 10_000 (fun i -> [| i / 1000; i / 100; i / 10; i |]) in
+              let tree =
+                Storage.Btree.bulk_load
+                  (Storage.Buffer_pool.create ~capacity:512 (Storage.Disk.create ()))
+                  ~key_len:4 keys
+              in
+              let lo = Array.make 4 min_int and hi = Array.make 4 max_int in
+              fun () ->
+                let entries = ref 0 in
+                Storage.Btree.iter_range_slices tree ~lo ~hi (fun _buf _pos -> incr entries);
+                assert (!entries = 10_000)));
       ]
   in
   let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:None () in

@@ -37,6 +37,28 @@ let mem_column t name = column_index t name <> None
 
 let arity t = List.length t.columns
 
+let int_field_offset t pos =
+  let rec go i columns =
+    match columns with
+    | [] -> None
+    | (c : column) :: rest -> (
+        match c.ty with
+        | Text_type -> None
+        | Int_type -> if i = pos then Some (Tuple.int_payload_offset pos) else go (i + 1) rest)
+  in
+  if pos < 0 then None else go 0 t.columns
+
+let int_reader t pos =
+  match int_field_offset t pos with
+  | Some off -> fun buf base -> Int64.to_int (Bytes.get_int64_le buf (base + off))
+  | None -> (
+      match List.nth_opt t.columns pos with
+      | Some { ty = Int_type; _ } ->
+          fun buf base -> Tuple.int_exn (Tuple.get_field_at buf ~base pos)
+      | Some { ty = Text_type; _ } | None ->
+          invalid_arg
+            (Printf.sprintf "Schema.int_reader: column %d of %s is not an integer" pos t.name))
+
 let value_matches ty v =
   match (ty, v) with
   | Int_type, Tuple.Int _ -> true

@@ -25,6 +25,19 @@ val mem_column : table -> string -> bool
 val arity : table -> int
 (** Number of columns. *)
 
+val int_field_offset : table -> int -> int option
+(** [int_field_offset t pos] is the byte offset, from the start of an
+    encoded record, of integer column [pos]'s 8-byte payload when every
+    column up to and including [pos] is an integer (each earlier field
+    then has the fixed integer width); [None] otherwise. *)
+
+val int_reader : table -> int -> bytes -> int -> int
+(** [int_reader t pos] reads integer column [pos] of a record encoded at
+    [base] in [buf] ([int_reader t pos buf base]): a direct read at
+    {!int_field_offset} when there is one, else the field walk of
+    {!Cddpd_storage.Tuple.get_field_at}.  Raises [Invalid_argument] if
+    column [pos] is missing or not an integer. *)
+
 val value_matches : col_type -> Cddpd_storage.Tuple.value -> bool
 (** Whether a runtime value inhabits the declared type. *)
 

@@ -96,21 +96,23 @@ let iter_rows t name f = Heap_file.iter (table_state t name).heap (fun _rid tupl
    patches the arrays ([patch_columns]), so a refresh reads no page. *)
 let scan_columns state =
   let n = Heap_file.n_tuples state.heap in
+  let schema = state.schema in
   let buffers =
     List.concat
       (List.mapi
          (fun pos (c : Schema.column) ->
            match c.Schema.ty with
-           | Schema.Int_type -> [ (c.Schema.name, pos, Array.make n 0) ]
+           | Schema.Int_type ->
+               [ (c.Schema.name, pos, Schema.int_reader schema pos, Array.make n 0) ]
            | Schema.Text_type -> [])
-         state.schema.Schema.columns)
+         schema.Schema.columns)
   in
   let row = ref 0 in
-  Heap_file.iter state.heap (fun _rid tuple ->
-      List.iter (fun (_, pos, buf) -> buf.(!row) <- Tuple.int_exn tuple.(pos)) buffers;
+  Heap_file.iter_slices state.heap (fun ~page:_ ~slot:_ buf base ->
+      List.iter (fun (_, _, read, values) -> values.(!row) <- read buf base) buffers;
       incr row);
   List.map
-    (fun (name, pos, buf) -> { name; pos; values = Sorted_column.of_unsorted buf })
+    (fun (name, pos, _, values) -> { name; pos; values = Sorted_column.of_unsorted values })
     buffers
 
 let collect_stats state =
@@ -366,66 +368,50 @@ let eval_predicate schema tuple pred =
       && Tuple.compare_value tuple.(pos) high <= 0
 
 (* Field accessor for a record encoded at [base] in [buf].  When every
-   column before [pos] is an integer the field offset is fixed, so the
+   column up to [pos] is an integer the field offset is fixed, so the
    accessor is a direct 8-byte read (the scan hot path); otherwise it
    falls back to the generic walk. *)
 let compile_field_read schema pos =
-  let columns = schema.Schema.columns in
-  let rec all_int_prefix i cols =
-    match cols with
-    | [] -> true
-    | (c : Schema.column) :: rest ->
-        i >= pos || (c.Schema.ty = Schema.Int_type && all_int_prefix (i + 1) rest)
-  in
-  match List.nth_opt columns pos with
-  | Some { Schema.ty = Schema.Int_type; _ } when all_int_prefix 0 columns ->
-      (* tag byte at base + 2 + 9*pos, payload right after *)
-      let off = 2 + (9 * pos) + 1 in
-      fun buf base -> Tuple.Int (Int64.to_int (Bytes.get_int64_le buf (base + off)))
-  | Some _ | None -> fun buf base -> Tuple.get_field_at buf ~base pos
+  match Schema.int_field_offset schema pos with
+  | Some off -> fun buf base -> Tuple.Int (Int64.to_int (Bytes.get_int64_le buf (base + off)))
+  | None -> fun buf base -> Tuple.get_field_at buf ~base pos
 
 (* Compile the conjunction to run against encoded records, resolving
    column positions and field offsets once — the scan hot path must not
    decode whole tuples or search the schema per row. *)
 let compile_predicates_slices schema preds =
-  (* Fixed-offset integer predicate: compare without boxing the field and
-     with the operator resolved at compile time. *)
-  let int_fast_path column op v =
-    let pos = Schema.column_index_exn schema column in
-    let columns = schema.Schema.columns in
-    let all_int_prefix =
-      List.for_all (fun (c : Schema.column) -> c.Schema.ty = Schema.Int_type) columns
-    in
-    if not all_int_prefix then None
-    else
-      let off = 2 + (9 * pos) + 1 in
-      let read buf base = Int64.to_int (Bytes.get_int64_le buf (base + off)) in
-      Some
-        (match op with
-        | Ast.Eq -> fun buf base -> read buf base = v
-        | Ast.Lt -> fun buf base -> read buf base < v
-        | Ast.Le -> fun buf base -> read buf base <= v
-        | Ast.Gt -> fun buf base -> read buf base > v
-        | Ast.Ge -> fun buf base -> read buf base >= v)
+  let position = Schema.column_index_exn schema in
+  let generic_read column = compile_field_read schema (position column) in
+  let int_offset column = Schema.int_field_offset schema (position column) in
+  (* Fixed-offset integer test: compare without boxing the field and with
+     the operator resolved at compile time. *)
+  let int_test off op v =
+    let read buf base = Int64.to_int (Bytes.get_int64_le buf (base + off)) in
+    match op with
+    | Ast.Eq -> fun buf base -> read buf base = v
+    | Ast.Lt -> fun buf base -> read buf base < v
+    | Ast.Le -> fun buf base -> read buf base <= v
+    | Ast.Gt -> fun buf base -> read buf base > v
+    | Ast.Ge -> fun buf base -> read buf base >= v
   in
   let compile pred =
     match pred with
-    | Ast.Cmp { column; op; value = Tuple.Int v } when Option.is_some (int_fast_path column op v)
-      -> (
-        match int_fast_path column op v with Some test -> test | None -> assert false)
-    | Ast.Cmp { column; op; value } ->
-        let read = compile_field_read schema (Schema.column_index_exn schema column) in
-        fun buf base -> compare_matches op (Tuple.compare_value (read buf base) value)
-    | Ast.Between { column; low = Tuple.Int lo; high = Tuple.Int hi }
-      when Option.is_some (int_fast_path column Ast.Ge lo) ->
-        let ge = Option.get (int_fast_path column Ast.Ge lo) in
-        let le = Option.get (int_fast_path column Ast.Le hi) in
-        fun buf base -> ge buf base && le buf base
-    | Ast.Between { column; low; high } ->
-        let read = compile_field_read schema (Schema.column_index_exn schema column) in
-        fun buf base ->
-          let v = read buf base in
-          Tuple.compare_value v low >= 0 && Tuple.compare_value v high <= 0
+    | Ast.Cmp { column; op; value } -> (
+        match (int_offset column, value) with
+        | Some off, Tuple.Int v -> int_test off op v
+        | None, _ | Some _, Tuple.Text _ ->
+            let read = generic_read column in
+            fun buf base -> compare_matches op (Tuple.compare_value (read buf base) value))
+    | Ast.Between { column; low; high } -> (
+        match (int_offset column, low, high) with
+        | Some off, Tuple.Int lo, Tuple.Int hi ->
+            let ge = int_test off Ast.Ge lo and le = int_test off Ast.Le hi in
+            fun buf base -> ge buf base && le buf base
+        | None, _, _ | Some _, Tuple.Text _, _ | Some _, _, Tuple.Text _ ->
+            let read = generic_read column in
+            fun buf base ->
+              let v = read buf base in
+              Tuple.compare_value v low >= 0 && Tuple.compare_value v high <= 0)
   in
   match List.map compile preds with
   | [] -> fun _buf _base -> true
@@ -515,7 +501,7 @@ let run_select state (select : Ast.select) plan =
       let row_matches = compile_predicates_slices state.schema select.Ast.where in
       let emit_slice = compile_project_slices state.schema select.Ast.projection in
       let rows = ref [] in
-      Heap_file.iter_slices state.heap (fun buf base ->
+      Heap_file.iter_slices state.heap (fun ~page:_ ~slot:_ buf base ->
           if row_matches buf base then rows := emit_slice buf base :: !rows);
       List.rev !rows
   | Plan.Index_seek { index = def; eq_prefix; range; covering } ->
@@ -669,7 +655,7 @@ let run_select_agg t ~table ~group_by ~aggregate ~where plan =
             Some (compile_field_read state.schema (Schema.column_index_exn state.schema column))
       in
       let groups = Hashtbl.create 64 in
-      Heap_file.iter_slices state.heap (fun buf base ->
+      Heap_file.iter_slices state.heap (fun ~page:_ ~slot:_ buf base ->
           if matches buf base then begin
             let g = Tuple.int_exn (group_read buf base) in
             let delta =

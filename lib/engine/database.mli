@@ -58,7 +58,9 @@ val table_stats : t -> string -> Table_stats.t
 
     Each table keeps its integer columns' live values as sorted arrays.
     The first collection after {!create} or {!load} builds them: a full
-    heap scan through the buffer pool plus one sort per integer column.
+    heap scan through the buffer pool, reading the integer fields from
+    the page bytes without decoding rows, plus one sort per integer
+    column.
     From then on every INSERT, DELETE and UPDATE patches them exactly,
     one merge per column per statement (an UPDATE skips the columns it
     does not assign).  So a later refresh reads no page and costs O(n)

@@ -28,15 +28,20 @@ let key_positions schema index =
     (Index_def.columns index)
   |> Array.of_list
 
-let physical_key positions tuple (rid : Heap_file.rid) =
-  let n = Array.length positions in
+(* Key column values (the [i]-th read by [column i]) with the rid appended. *)
+let make_key n column ~page ~slot =
   let key = Array.make (n + 2) 0 in
   for i = 0 to n - 1 do
-    key.(i) <- Tuple.int_exn tuple.(positions.(i))
+    key.(i) <- column i
   done;
-  key.(n) <- rid.Heap_file.page;
-  key.(n + 1) <- rid.Heap_file.slot;
+  key.(n) <- page;
+  key.(n + 1) <- slot;
   key
+
+let physical_key positions tuple (rid : Heap_file.rid) =
+  make_key (Array.length positions)
+    (fun i -> Tuple.int_exn tuple.(positions.(i)))
+    ~page:rid.Heap_file.page ~slot:rid.Heap_file.slot
 
 (* Lexicographic sort of physical keys.  When the observed range of every
    component fits a packed 62-bit word, each key is packed into one int
@@ -112,9 +117,11 @@ let of_sorted_keys pool index positions keys =
 
 let build pool schema heap index =
   let positions = key_positions schema index in
+  let n = Array.length positions in
+  let reads = Array.map (Schema.int_reader schema) positions in
   let entries = ref [] in
-  Heap_file.iter heap (fun rid tuple ->
-      entries := physical_key positions tuple rid :: !entries);
+  Heap_file.iter_slices heap (fun ~page ~slot buf base ->
+      entries := make_key n (fun i -> reads.(i) buf base) ~page ~slot :: !entries);
   let keys = Array.of_list !entries in
   sort_keys ~key_len:(Array.length positions + 2) keys;
   of_sorted_keys pool index positions keys

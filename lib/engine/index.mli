@@ -13,7 +13,10 @@ val build :
   Cddpd_storage.Heap_file.t ->
   Cddpd_catalog.Index_def.t ->
   t
-(** Scan the heap, sort, and bulk-load the tree.  The sort packs each key
+(** Scan the heap, sort, and bulk-load the tree.  The scan reads the key
+    columns straight from the page bytes ({!Cddpd_catalog.Schema.int_reader}
+    over {!Cddpd_storage.Heap_file.iter_slices}); no row is decoded.  The
+    sort packs each key
     into a single word whenever the observed component ranges fit 62 bits
     (they essentially always do) and sorts the packed ints monomorphically
     ({!Cddpd_util.Int_sort}).  Raises [Invalid_argument] if the definition

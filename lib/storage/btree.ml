@@ -74,28 +74,36 @@ let compare_key t a b =
   in
   go 0
 
-(* First index in [0, n) whose key is >= [key]; n if none. *)
-let lower_bound t ~get page key =
-  let n = node_n page in
-  let rec go lo hi =
-    if lo >= hi then lo
+(* Sign of (stored key at byte [pos] of [buf]) - [key], compared in place
+   without materialising the stored key. *)
+let compare_at t buf pos key =
+  let rec go j =
+    if j = t.key_len then 0
     else
-      let mid = (lo + hi) / 2 in
-      if compare_key t (get t page mid) key < 0 then go (mid + 1) hi else go lo mid
+      let c = Int.compare (Int64.to_int (Bytes.get_int64_le buf (pos + (j * 8)))) key.(j) in
+      if c <> 0 then c else go (j + 1)
   in
-  go 0 n
+  go 0
 
-(* Child to descend into for [key]: number of separators <= key. *)
-let descend_index t page key =
-  let n = node_n page in
+(* First index in [0, n) whose key (at [key_pos t i]) is >= [key], or
+   > [key] when [strict]; n if none.  Binary search over the page bytes. *)
+let search t ~key_pos ~strict page key =
+  let buf = Page.to_bytes page in
   let rec go lo hi =
-    (* first separator index with sep > key; that index = child index *)
     if lo >= hi then lo
     else
       let mid = (lo + hi) / 2 in
-      if compare_key t (int_key t page mid) key <= 0 then go (mid + 1) hi else go lo mid
+      let c = compare_at t buf (key_pos t mid) key in
+      if c < 0 || (strict && c = 0) then go (mid + 1) hi else go lo mid
   in
-  go 0 n
+  go 0 (node_n page)
+
+let leaf_key_equals t page i key = compare_at t (Page.to_bytes page) (leaf_key_pos t i) key = 0
+
+let lower_bound t page key = search t ~key_pos:leaf_key_pos ~strict:false page key
+
+(* Child to descend into for [key]: the number of separators <= key. *)
+let descend_index t page key = search t ~key_pos:int_key_pos ~strict:true page key
 
 (* -- construction -------------------------------------------------------- *)
 
@@ -151,8 +159,8 @@ let mem t key =
   check_key t key;
   let leaf = find_leaf t t.root key in
   with_node t leaf (fun _handle page ->
-      let i = lower_bound t ~get:leaf_key page key in
-      i < node_n page && compare_key t (leaf_key t page i) key = 0)
+      let i = lower_bound t page key in
+      i < node_n page && leaf_key_equals t page i key)
 
 (* -- insertion ----------------------------------------------------------- *)
 
@@ -191,7 +199,7 @@ let rec insert_rec t pid key =
       | Some { sep; right } ->
           Buffer_pool.mark_dirty handle;
           if node_n page < internal_capacity t then begin
-            let pos = lower_bound t ~get:int_key page sep in
+            let pos = search t ~key_pos:int_key_pos ~strict:false page sep in
             internal_insert_at t page pos sep right;
             None
           end
@@ -202,8 +210,8 @@ let rec insert_rec t pid key =
   result
 
 and insert_leaf t handle page key =
-  let i = lower_bound t ~get:leaf_key page key in
-  if i < node_n page && compare_key t (leaf_key t page i) key = 0 then None
+  let i = lower_bound t page key in
+  if i < node_n page && leaf_key_equals t page i key then None
   else begin
     Buffer_pool.mark_dirty handle;
     t.entries <- t.entries + 1;
@@ -227,9 +235,9 @@ and insert_leaf t handle page key =
       set_next_leaf page (Buffer_pool.page_id right_handle);
       let sep = leaf_key t right_page 0 in
       if compare_key t key sep < 0 then
-        leaf_insert_at t page (lower_bound t ~get:leaf_key page key) key
+        leaf_insert_at t page (lower_bound t page key) key
       else
-        leaf_insert_at t right_page (lower_bound t ~get:leaf_key right_page key) key;
+        leaf_insert_at t right_page (lower_bound t right_page key) key;
       let right = Buffer_pool.page_id right_handle in
       Buffer_pool.unpin t.pool right_handle;
       Some { sep = leaf_key t right_page 0; right }
@@ -244,7 +252,7 @@ and split_internal t _handle page sep rc =
   let n = node_n page in
   let keys = Array.init n (fun i -> int_key t page i) in
   let children = Array.init (n + 1) (fun i -> child t page i) in
-  let pos = lower_bound t ~get:int_key page sep in
+  let pos = search t ~key_pos:int_key_pos ~strict:false page sep in
   let all_keys = Array.make (n + 1) sep in
   let all_children = Array.make (n + 2) rc in
   Array.blit keys 0 all_keys 0 pos;
@@ -290,8 +298,8 @@ let delete t key =
   check_key t key;
   let leaf = find_leaf t t.root key in
   with_node t leaf (fun handle page ->
-      let i = lower_bound t ~get:leaf_key page key in
-      if i < node_n page && compare_key t (leaf_key t page i) key = 0 then begin
+      let i = lower_bound t page key in
+      if i < node_n page && leaf_key_equals t page i key then begin
         let n = node_n page in
         if i < n - 1 then
           Page.move page ~src:(leaf_key_pos t (i + 1)) ~dst:(leaf_key_pos t i)
@@ -305,43 +313,31 @@ let delete t key =
 
 (* -- range iteration ------------------------------------------------------ *)
 
+(* Each leaf's entry count is validated once against the page size; the
+   run [lo, hi] is then found by two in-place binary searches and emitted
+   with no per-entry comparison.  The walk moves to the next leaf only
+   when the whole leaf is <= hi (deleted-from leaves may be empty). *)
 let iter_range_slices t ~lo ~hi f =
   check_key t lo;
   check_key t hi;
   if compare_key t lo hi <= 0 then begin
-    let leaf = find_leaf t t.root lo in
+    let entry_bytes = key_bytes t in
     let rec walk pid =
       if pid <> -1 then
-        let continue_with =
-          with_node t pid (fun _handle page ->
-              let n = node_n page in
-              let start = lower_bound t ~get:leaf_key page lo in
-              let buf = Page.to_bytes page in
-              let within_hi pos =
-                let rec go j =
-                  if j = t.key_len then true
-                  else
-                    let v = Int64.to_int (Bytes.get_int64_le buf (pos + (j * 8))) in
-                    if v < hi.(j) then true else if v > hi.(j) then false else go (j + 1)
-                in
-                go 0
-              in
-              let rec emit i =
-                if i >= n then Some (next_leaf page)
-                else begin
-                  let pos = leaf_key_pos t i in
-                  if not (within_hi pos) then None
-                  else begin
-                    f buf pos;
-                    emit (i + 1)
-                  end
-                end
-              in
-              emit start)
-        in
-        match continue_with with None -> () | Some next -> walk next
+        walk
+          (with_node t pid (fun _handle page ->
+               let n = node_n page in
+               if header + (n * entry_bytes) > Page.size then
+                 invalid_arg "Btree: leaf entries overrun the page";
+               let first = lower_bound t page lo in
+               let past = search t ~key_pos:leaf_key_pos ~strict:true page hi in
+               let buf = Page.to_bytes page in
+               for i = first to past - 1 do
+                 f buf (header + (i * entry_bytes))
+               done;
+               if past < n then -1 else next_leaf page))
     in
-    walk leaf
+    walk (find_leaf t t.root lo)
   end
 
 let iter_range t ~lo ~hi f =

@@ -10,6 +10,7 @@ let m_scan_fetches = Obs.Registry.counter "buffer_pool.scan_fetches"
 let m_readahead_pages = Obs.Registry.counter "buffer_pool.readahead_pages"
 
 type frame = {
+  index : int; (* position in [frames] *)
   mutable pid : int; (* -1 when the frame is empty *)
   buffer : Page.t;
   mutable pins : int;
@@ -22,14 +23,17 @@ type handle = frame
 type t = {
   disk : Disk.t;
   frames : frame array;
-  table : (int, frame) Hashtbl.t;
+  mutable table : int array;
+      (* page table: frame index per page id, -1 when not resident.  Page
+         ids are dense (Disk.allocate hands out 0, 1, 2, ...), so an array
+         indexed by page id does a hash table's job; it grows on demand. *)
   mutable free : int list; (* indices of empty frames *)
   mutable hand : int; (* clock hand *)
   readahead : int; (* max pages prefetched per sequential miss; 0 = off *)
   (* One-entry memo: the frame returned by the most recent fetch.  Checking
      [last.pid = pid] is sound without any invalidation hook because
      [evict] resets [pid] to -1 before a frame is reused and [pid] is only
-     ever set together with the matching [table] insertion — so a matching
+     ever set together with the matching [table] entry — so a matching
      pid proves the frame still holds that page. *)
   mutable last : frame;
   mutable hit_count : int;
@@ -52,14 +56,14 @@ let default_readahead = 8
 let create ?(capacity = 256) ?(readahead = default_readahead) disk =
   if capacity <= 0 then invalid_arg "Buffer_pool.create: capacity <= 0";
   if readahead < 0 then invalid_arg "Buffer_pool.create: readahead < 0";
-  let make_frame _ =
-    { pid = -1; buffer = Page.create (); pins = 0; dirty = false; referenced = false }
+  let make_frame index =
+    { index; pid = -1; buffer = Page.create (); pins = 0; dirty = false; referenced = false }
   in
   let frames = Array.init capacity make_frame in
   {
     disk;
     frames;
-    table = Hashtbl.create (capacity * 2);
+    table = Array.make (max 64 (Disk.n_pages disk)) (-1);
     free = List.init capacity (fun i -> i);
     hand = 0;
     (* A prefetch batch must never be forced to evict its own leader, so
@@ -74,6 +78,17 @@ let create ?(capacity = 256) ?(readahead = default_readahead) disk =
   }
 
 let capacity t = Array.length t.frames
+
+let frame_index t pid = if pid >= 0 && pid < Array.length t.table then t.table.(pid) else -1
+
+let map_page t pid frame =
+  let size = Array.length t.table in
+  if pid >= size then begin
+    let bigger = Array.make (max (pid + 1) (2 * size)) (-1) in
+    Array.blit t.table 0 bigger 0 size;
+    t.table <- bigger
+  end;
+  t.table.(pid) <- frame.index
 
 let write_back t frame =
   if frame.dirty then begin
@@ -138,7 +153,7 @@ let seq_victim t =
 let evict t frame =
   if frame.pid <> -1 then begin
     write_back t frame;
-    Hashtbl.remove t.table frame.pid;
+    t.table.(frame.pid) <- -1;
     frame.pid <- -1;
     t.eviction_count <- t.eviction_count + 1;
     Obs.Counter.incr m_evictions
@@ -158,23 +173,26 @@ let fetch t pid =
   end
   else
     let frame =
-      match Hashtbl.find_opt t.table pid with
-      | Some frame ->
-          record_hit t frame;
-          frame.referenced <- true;
-          frame
-      | None ->
-          t.miss_count <- t.miss_count + 1;
-          Obs.Counter.incr m_misses;
-          let frame = victim t in
-          evict t frame;
-          Disk.read_into t.disk pid frame.buffer;
-          frame.pid <- pid;
-          frame.pins <- 1;
-          frame.dirty <- false;
-          frame.referenced <- true;
-          Hashtbl.replace t.table pid frame;
-          frame
+      let i = frame_index t pid in
+      if i >= 0 then begin
+        let frame = t.frames.(i) in
+        record_hit t frame;
+        frame.referenced <- true;
+        frame
+      end
+      else begin
+        t.miss_count <- t.miss_count + 1;
+        Obs.Counter.incr m_misses;
+        let frame = victim t in
+        evict t frame;
+        Disk.read_into t.disk pid frame.buffer;
+        frame.pid <- pid;
+        frame.pins <- 1;
+        frame.dirty <- false;
+        frame.referenced <- true;
+        map_page t pid frame;
+        frame
+      end
     in
     t.last <- frame;
     frame
@@ -182,29 +200,38 @@ let fetch t pid =
 (* Prefetch the next non-resident pages of [run] into unpinned,
    unreferenced frames (first in line for recycling), reading them from
    disk in one batch.  Called with the leader frame pinned, so the batch
-   cannot evict it.  In a pathologically small pool a prefetched frame may
-   be recycled before its page is consumed — the page is then simply a
-   regular miss later; correctness and logical-I/O accounting are
-   unaffected. *)
+   cannot evict it.  A batch never evicts its own pages: when the victim
+   search comes back to a frame this batch filled, every other recyclable
+   frame is taken, so the batch stops there and leaves that frame alone
+   rather than read a page it would throw away before the scan reaches
+   it.  Correctness and logical-I/O accounting never depend on how far a
+   batch got: a page it did not prefetch is a regular miss later. *)
 let readahead_batch t ~run ~pos =
   let stop = min (Array.length run - 1) (pos + t.readahead) in
-  let batch = ref [] in
-  for j = pos + 1 to stop do
-    let pid = run.(j) in
-    if not (Hashtbl.mem t.table pid) then begin
-      let frame = seq_victim t in
-      evict t frame;
-      frame.pid <- pid;
-      frame.pins <- 0;
-      frame.dirty <- false;
-      frame.referenced <- false;
-      Hashtbl.replace t.table pid frame;
-      batch := (pid, frame.buffer) :: !batch;
-      t.readahead_count <- t.readahead_count + 1;
-      Obs.Counter.incr m_readahead_pages
-    end
-  done;
-  match !batch with [] -> () | pairs -> Disk.read_batch t.disk (List.rev pairs)
+  let rec fill j batch =
+    if j > stop then batch
+    else
+      let pid = run.(j) in
+      if frame_index t pid >= 0 then fill (j + 1) batch
+      else
+        let frame = seq_victim t in
+        if List.exists (fun (_, filled) -> filled == frame) batch then batch
+        else begin
+          evict t frame;
+          frame.pid <- pid;
+          frame.pins <- 0;
+          frame.dirty <- false;
+          frame.referenced <- false;
+          map_page t pid frame;
+          t.readahead_count <- t.readahead_count + 1;
+          Obs.Counter.incr m_readahead_pages;
+          fill (j + 1) ((pid, frame) :: batch)
+        end
+  in
+  match fill (pos + 1) [] with
+  | [] -> ()
+  | batch ->
+      Disk.read_batch t.disk (List.rev_map (fun (pid, frame) -> (pid, frame.buffer)) batch)
 
 let fetch_sequential t ~run ~pos =
   let pid = run.(pos) in
@@ -218,23 +245,26 @@ let fetch_sequential t ~run ~pos =
   end
   else
     let frame =
-      match Hashtbl.find_opt t.table pid with
-      | Some frame ->
-          record_hit t frame;
-          frame
-      | None ->
-          t.miss_count <- t.miss_count + 1;
-          Obs.Counter.incr m_misses;
-          let frame = seq_victim t in
-          evict t frame;
-          Disk.read_into t.disk pid frame.buffer;
-          frame.pid <- pid;
-          frame.pins <- 1;
-          frame.dirty <- false;
-          frame.referenced <- false;
-          Hashtbl.replace t.table pid frame;
-          if t.readahead > 0 then readahead_batch t ~run ~pos;
-          frame
+      let i = frame_index t pid in
+      if i >= 0 then begin
+        let frame = t.frames.(i) in
+        record_hit t frame;
+        frame
+      end
+      else begin
+        t.miss_count <- t.miss_count + 1;
+        Obs.Counter.incr m_misses;
+        let frame = seq_victim t in
+        evict t frame;
+        Disk.read_into t.disk pid frame.buffer;
+        frame.pid <- pid;
+        frame.pins <- 1;
+        frame.dirty <- false;
+        frame.referenced <- false;
+        map_page t pid frame;
+        if t.readahead > 0 then readahead_batch t ~run ~pos;
+        frame
+      end
     in
     t.last <- frame;
     frame
@@ -248,7 +278,7 @@ let allocate t =
   frame.pins <- 1;
   frame.dirty <- true;
   frame.referenced <- true;
-  Hashtbl.replace t.table pid frame;
+  map_page t pid frame;
   t.last <- frame;
   frame
 
@@ -271,7 +301,7 @@ let drop_cache t =
       if frame.pins > 0 then failwith "Buffer_pool.drop_cache: frame still pinned";
       if frame.pid <> -1 then begin
         write_back t frame;
-        Hashtbl.remove t.table frame.pid;
+        t.table.(frame.pid) <- -1;
         frame.pid <- -1;
         t.free <- i :: t.free
       end)

@@ -50,10 +50,26 @@
       readahead budget of upcoming non-resident pages of the scan's page
       run in one {!Disk.read_batch}, so they are hits when the scan
       reaches them.  Prefetched frames sit unpinned and unreferenced.
+      {b A batch never evicts its own pages}: when the victim search
+      comes back to a frame the same batch already filled (every other
+      recyclable frame is taken — the scan's share of the pool is
+      smaller than the budget), the batch stops there and that frame
+      keeps its page.  So a scan reads each page of its run from disk
+      at most once even when a referenced working set leaves it only a
+      few frames; a page the batch did not reach is an ordinary miss
+      later.
     - {e last-page memo}: consecutive fetches of the same page (common
-      when a scan re-reads the tail page) skip the hash-table probe via a
-      one-entry memo.  The memo needs no invalidation: it is validated by
-      the frame's page id, which eviction resets.
+      when a scan re-reads the tail page) skip the page-table lookup via
+      a one-entry memo.  The memo needs no invalidation: it is validated
+      by the frame's page id, which eviction resets.
+
+    {2 Page table}
+
+    Resident pages are found through an [int array] indexed by page id,
+    holding the frame index or [-1].  Page ids are dense (they come from
+    {!Disk.allocate}), so the array is as long as the highest page id
+    the pool has held — 8 bytes per page of the disk — and grows on
+    demand.
 
     {2 Observability}
 

@@ -163,22 +163,23 @@ let scan_pages t f =
       finish ())
     run
 
-let iter_raw t f =
-  scan_pages t (fun pid page ->
-      for slot = 0 to slot_count page - 1 do
-        let len = slot_length page slot in
-        if len > 0 then
-          f { page = pid; slot } (Page.get_bytes page ~pos:(slot_offset page slot) ~len)
-      done)
-
-let iter t f = iter_raw t (fun rid data -> f rid (Tuple.decode data))
-
+(* The slot directory is validated once per page, so the per-slot reads
+   below go straight to the page bytes instead of through [Page.get_u16]'s
+   per-read check. *)
 let iter_slices t f =
-  scan_pages t (fun _pid page ->
+  scan_pages t (fun pid page ->
+      let n = slot_count page in
+      if header_size + (n * slot_size) > Page.size then
+        invalid_arg "Heap_file: slot directory overruns the page";
       let buf = Page.to_bytes page in
-      for slot = 0 to slot_count page - 1 do
-        if slot_length page slot > 0 then f buf (slot_offset page slot)
+      for slot = 0 to n - 1 do
+        let dir = header_size + (slot * slot_size) in
+        if Bytes.get_uint16_le buf (dir + 2) > 0 then
+          f ~page:pid ~slot buf (Bytes.get_uint16_le buf dir)
       done)
+
+let iter t f =
+  iter_slices t (fun ~page ~slot buf base -> f { page; slot } (Tuple.decode_at buf ~base))
 
 let fold t ~init ~f =
   let acc = ref init in

@@ -31,21 +31,19 @@ val delete : t -> rid -> bool
 (** Clear the slot; returns whether a live tuple was there. *)
 
 val iter : t -> (rid -> Tuple.t -> unit) -> unit
-(** Full scan in storage order, skipping deleted slots.  All full scans
-    ({!iter}, {!iter_raw}, {!iter_slices}, {!fold}) go through
+(** Full scan in storage order, skipping deleted slots, decoding each
+    record.  All full scans ({!iter}, {!iter_slices}, {!fold}) go through
     {!Buffer_pool.fetch_sequential}: scan-resistant eviction plus
     readahead, with unchanged logical-I/O accounting. *)
 
-val iter_raw : t -> (rid -> bytes -> unit) -> unit
-(** Full scan passing the encoded record instead of decoding it — fields
-    can then be extracted lazily with {!Tuple.get_field}. *)
-
-val iter_slices : t -> (bytes -> int -> unit) -> unit
-(** Zero-copy full scan: the callback receives the page buffer and the
-    byte offset of the encoded record (extract fields with
-    {!Tuple.get_field_at}), valid only for the duration of the call — the
-    executor's scan hot path (no per-row allocation at all: even the rid
-    is omitted). *)
+val iter_slices : t -> (page:int -> slot:int -> bytes -> int -> unit) -> unit
+(** Zero-copy full scan: the callback receives the record's rid
+    components, the page buffer and the byte offset of the encoded record
+    (extract fields with {!Tuple.get_field_at}), valid only for the
+    duration of the call — the executor's scan hot path, with no per-row
+    allocation.  Each page's slot directory is checked once against the
+    page size (raising [Invalid_argument] if it overruns the page); slot
+    entries are then read from the page bytes without per-read checks. *)
 
 val fold : t -> init:'a -> f:('a -> rid -> Tuple.t -> 'a) -> 'a
 (** Folding full scan. *)

@@ -38,6 +38,15 @@ val encode : t -> bytes
 val decode : bytes -> t
 (** Deserialize; raises [Invalid_argument] on malformed input. *)
 
+val decode_at : bytes -> base:int -> t
+(** Like {!decode} for a tuple encoded at offset [base] inside a larger
+    buffer; reads never leave the buffer. *)
+
+val int_payload_offset : int -> int
+(** [int_payload_offset i] is the byte offset, from the start of an
+    encoded tuple, of field [i]'s 8-byte integer payload, valid when
+    fields [0..i] are all [Int] (each is then a tag byte plus 8 bytes). *)
+
 val field_count : bytes -> int
 (** Number of fields of an encoded tuple without decoding it. *)
 

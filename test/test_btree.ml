@@ -270,23 +270,75 @@ let bulk_load_equals_inserts_prop =
       collect_all loaded = collect_all inserted
       && Btree.n_entries loaded = Btree.n_entries inserted)
 
-let slices_agree_prop =
-  QCheck.Test.make ~name:"iter_range_slices agrees with iter_range" ~count:50
-    (QCheck.make ~print:print_keys QCheck.Gen.(list_size (int_bound 300) (key_gen 2 30)))
-    (fun keys ->
-      let tree = Btree.create (make_pool ()) ~key_len:2 in
-      List.iter (Btree.insert tree) keys;
-      let lo = [| 5; min_int |] and hi = [| 25; max_int |] in
-      let via_arrays = collect_range tree ~lo ~hi in
-      let via_slices = ref [] in
-      Btree.iter_range_slices tree ~lo ~hi (fun buf pos ->
-          via_slices :=
-            [|
-              Int64.to_int (Bytes.get_int64_le buf pos);
-              Int64.to_int (Bytes.get_int64_le buf (pos + 8));
-            |]
-            :: !via_slices);
-      via_arrays = List.rev !via_slices)
+(* Range oracle: [iter_range_slices] against a filter over a reference
+   set, on trees two or more leaf levels wide (at least 2,000 keys; a
+   leaf holds at most 511), built by inserts or bulk load, with half the
+   keys then deleted as one contiguous run — that empties whole leaves,
+   which stay chained since deletion never rebalances.  Bounds mix
+   stored keys, deleted keys, random keys and min_int/max_int
+   components, in either order. *)
+let range_oracle_prop =
+  let gen =
+    QCheck.Gen.(
+      int_range 1 4 >>= fun key_len ->
+      let spread = [| 0; 2_000; 40; 12; 6 |].(key_len) in
+      let component = int_range (-spread) spread in
+      let extreme = oneofl [ min_int; max_int ] in
+      let key = array_repeat key_len (frequency [ (20, component); (1, extreme) ]) in
+      int_range 2_000 3_000 >>= fun n ->
+      list_repeat n key >>= fun keys ->
+      bool >>= fun bulk ->
+      float_bound_inclusive 0.5 >>= fun delete_from ->
+      let bound = array_repeat key_len (frequency [ (6, component); (1, extreme) ]) in
+      let query =
+        map2
+          (fun (kind, lo, hi) picks -> (kind, lo, hi, picks))
+          (triple (int_bound 3) bound bound) (pair nat nat)
+      in
+      list_repeat 30 query >>= fun queries ->
+      return (key_len, keys, bulk, delete_from, queries))
+  in
+  let print (key_len, keys, bulk, delete_from, queries) =
+    Printf.sprintf "key_len %d, %d keys, bulk %b, delete from %.2f, queries %s" key_len
+      (List.length keys) bulk delete_from
+      (print_keys (List.concat_map (fun (_, lo, hi, _) -> [ lo; hi ]) queries))
+  in
+  QCheck.Test.make ~name:"iter_range_slices matches a reference set filter" ~count:25
+    (QCheck.make ~print gen)
+    (fun (key_len, keys, bulk, delete_from, queries) ->
+      let stored = Key_set.of_list keys in
+      let sorted = Array.of_list (Key_set.elements stored) in
+      let n = Array.length sorted in
+      let tree =
+        if bulk then Btree.bulk_load (make_pool ()) ~key_len sorted
+        else begin
+          let tree = Btree.create (make_pool ()) ~key_len in
+          List.iter (Btree.insert tree) keys;
+          tree
+        end
+      in
+      let first_deleted = int_of_float (delete_from *. float_of_int n) in
+      let deleted = Array.sub sorted first_deleted (n / 2) in
+      Array.iter (fun k -> assert (Btree.delete tree k)) deleted;
+      let live = Array.fold_left (fun acc k -> Key_set.remove k acc) stored deleted in
+      List.for_all
+        (fun (kind, lo, hi, (pick_lo, pick_hi)) ->
+          (* kind 0: random bounds; 1: lo a stored (maybe deleted) key;
+             2: hi one; 3: both *)
+          let lo = if kind = 1 || kind = 3 then sorted.(pick_lo mod n) else lo in
+          let hi = if kind = 2 || kind = 3 then sorted.(pick_hi mod n) else hi in
+          let expected =
+            Key_set.elements
+              (Key_set.filter (fun k -> compare lo k <= 0 && compare k hi <= 0) live)
+          in
+          let via_slices = ref [] in
+          Btree.iter_range_slices tree ~lo ~hi (fun buf pos ->
+              via_slices :=
+                Array.init key_len (fun j ->
+                    Int64.to_int (Bytes.get_int64_le buf (pos + (j * 8))))
+                :: !via_slices);
+          List.rev !via_slices = expected)
+        queries)
 
 let () =
   Alcotest.run "btree"
@@ -317,6 +369,6 @@ let () =
           QCheck_alcotest.to_alcotest delete_matches_set_prop;
           QCheck_alcotest.to_alcotest range_matches_set_prop;
           QCheck_alcotest.to_alcotest bulk_load_equals_inserts_prop;
-          QCheck_alcotest.to_alcotest slices_agree_prop;
+          QCheck_alcotest.to_alcotest range_oracle_prop;
         ] );
     ]

@@ -256,6 +256,40 @@ let test_pool_scan_resistance () =
   Alcotest.(check int) "working set hits" (before.Buffer_pool.hits + 2)
     after.Buffer_pool.hits
 
+let test_pool_readahead_keeps_own_batch () =
+  (* 24 frames, 20 of them a referenced working set: a scan's leader and
+     its readahead batch share the 4 frames left.  A batch that wrapped
+     round to its own prefetched frames would recycle pages before the
+     scan reached them and read them again; stopping there reads every
+     page of the run exactly once, and the working set stays resident. *)
+  let run_len = 104 and hot = 20 in
+  let d = make_stamped_disk (run_len + hot) in
+  let pool = Buffer_pool.create ~capacity:24 ~readahead:8 d in
+  let touch_hot () =
+    for pid = run_len to run_len + hot - 1 do
+      Buffer_pool.unpin pool (Buffer_pool.fetch pool pid)
+    done
+  in
+  touch_hot ();
+  let run = scan_run run_len in
+  for scan = 1 to 3 do
+    Disk.reset_stats d;
+    Buffer_pool.reset_stats pool;
+    for pos = 0 to run_len - 1 do
+      let h = Buffer_pool.fetch_sequential pool ~run ~pos in
+      Alcotest.(check int) "scan content" pos (Page.get_i64 (Buffer_pool.page h) 0);
+      Buffer_pool.unpin pool h
+    done;
+    let s = Buffer_pool.stats pool in
+    let label what = Printf.sprintf "scan %d: %s" scan what in
+    Alcotest.(check int) (label "disk reads") run_len (Disk.stats d).Disk.reads;
+    Alcotest.(check int) (label "hits + misses") run_len
+      (s.Buffer_pool.hits + s.Buffer_pool.misses);
+    touch_hot ();
+    Alcotest.(check int) (label "working set still resident") run_len
+      (Disk.stats d).Disk.reads
+  done
+
 let test_pool_scan_logical_io_invariant () =
   (* Readahead changes the hit/miss split, never the total: a scan of n
      pages counts exactly n logical fetches either way. *)
@@ -450,7 +484,7 @@ let test_heap_iter_slices_agrees () =
     ignore (Heap_file.insert heap [| Tuple.Int i; Tuple.Int (i * 2) |])
   done;
   let total = ref 0 in
-  Heap_file.iter_slices heap (fun buf base ->
+  Heap_file.iter_slices heap (fun ~page:_ ~slot:_ buf base ->
       total := !total + Tuple.int_exn (Tuple.get_field_at buf ~base 1));
   Alcotest.(check int) "sum via slices" (2 * (99 * 100 / 2)) !total
 
@@ -494,6 +528,65 @@ let heap_model_prop =
         model true
       && Heap_file.n_tuples heap = Hashtbl.length model)
 
+(* Slices against decoded scans and a model: after random inserts and
+   deletes of mixed int/text rows, [iter_slices] visits exactly the live
+   records [iter] visits, in the same order (rid order: this heap is the
+   only user of its disk), and each record's bytes at the slice decode to
+   the same tuple and equal its encoding. *)
+let heap_slices_prop =
+  let row_gen =
+    QCheck.Gen.(
+      oneof
+        [
+          map (fun a -> [| Tuple.Int a |]) int;
+          map2 (fun a b -> [| Tuple.Int a; Tuple.Int b |]) int (int_bound 100);
+          map2 (fun s a -> [| Tuple.Text s; Tuple.Int a |]) (string_size (int_bound 40)) int;
+          map2 (fun a s -> [| Tuple.Int a; Tuple.Text s |]) int (string_size (int_bound 300));
+        ])
+  in
+  QCheck.Test.make ~name:"iter_slices = iter = live model" ~count:60
+    (QCheck.make
+       ~print:QCheck.Print.(list (pair (fun t -> Tuple.to_string t) int))
+       QCheck.Gen.(list_size (int_bound 400) (pair row_gen (int_bound 3))))
+    (fun ops ->
+      let heap = make_heap () in
+      let model = Hashtbl.create 64 in
+      let rids = ref [||] in
+      List.iter
+        (fun (tuple, delete_back) ->
+          let rid = Heap_file.insert heap tuple in
+          Hashtbl.replace model rid tuple;
+          rids := Array.append !rids [| rid |];
+          (* delete_back = 0: keep; otherwise delete the row that many
+             inserts back, if still live *)
+          let victim = Array.length !rids - delete_back in
+          if delete_back > 0 && victim >= 0 then begin
+            let rid = !rids.(victim) in
+            Alcotest.(check bool) "delete result" (Hashtbl.mem model rid)
+              (Heap_file.delete heap rid);
+            Hashtbl.remove model rid
+          end)
+        ops;
+      let via_iter = ref [] in
+      Heap_file.iter heap (fun rid tuple -> via_iter := (rid, tuple) :: !via_iter);
+      let via_slices = ref [] in
+      Heap_file.iter_slices heap (fun ~page ~slot buf base ->
+          let tuple = Tuple.decode_at buf ~base in
+          let encoded = Tuple.encode tuple in
+          if not (Bytes.equal encoded (Bytes.sub buf base (Bytes.length encoded))) then
+            Alcotest.failf "record %d:%d bytes differ from its encoding" page slot;
+          via_slices := ({ Heap_file.page; slot }, tuple) :: !via_slices);
+      let expected =
+        Hashtbl.fold (fun rid tuple acc -> (rid, tuple) :: acc) model []
+        |> List.sort (fun (a, _) (b, _) -> Heap_file.compare_rid a b)
+      in
+      let same a b =
+        List.equal
+          (fun (r1, t1) (r2, t2) -> Heap_file.compare_rid r1 r2 = 0 && Tuple.equal t1 t2)
+          a b
+      in
+      same (List.rev !via_slices) (List.rev !via_iter) && same (List.rev !via_iter) expected)
+
 let () =
   Alcotest.run "storage"
     [
@@ -523,6 +616,8 @@ let () =
           Alcotest.test_case "drop_cache forces cold reads" `Quick test_pool_drop_cache;
           Alcotest.test_case "readahead accounting" `Quick test_pool_readahead_accounting;
           Alcotest.test_case "readahead disabled" `Quick test_pool_readahead_disabled;
+          Alcotest.test_case "readahead never recycles its own batch" `Quick
+            test_pool_readahead_keeps_own_batch;
           Alcotest.test_case "scan resistance" `Quick test_pool_scan_resistance;
           Alcotest.test_case "scan logical I/O invariant" `Quick
             test_pool_scan_logical_io_invariant;
@@ -553,5 +648,6 @@ let () =
           Alcotest.test_case "iter_slices" `Quick test_heap_iter_slices_agrees;
           Alcotest.test_case "oversize tuple" `Quick test_heap_oversize_tuple;
           QCheck_alcotest.to_alcotest heap_model_prop;
+          QCheck_alcotest.to_alcotest heap_slices_prop;
         ] );
     ]
